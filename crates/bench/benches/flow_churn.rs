@@ -13,18 +13,14 @@
 //! engine pays O(component + log n).
 //!
 //! Two topology arms: **dense** (~16 activities per resource, components
-//! span several activities — the regime where the adaptive policy matters
-//! at small n) and **sparse** (~2 per resource, tiny components — the
-//! incremental path's best case). Two policy arms per topology: the
-//! default adaptive policy and the pinned incremental path, so the
-//! adaptive selection's cost/benefit is visible per size.
+//! span several activities) and **sparse** (~2 per resource, tiny
+//! components — the incremental path's best case).
 //!
-//! Recorded before/after numbers live in `BENCH_flow.json` at the repo
-//! root, regenerated by `cargo run --release -p elastisim-bench --bin
-//! flow_churn` (which also re-measures the reconstructed seed engine).
+//! This is a layer-local microbenchmark; end-to-end performance claims
+//! are made against the ledger in `perf_ledger/` (see `BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use elastisim_des::{ActivitySpec, ResourceId, Simulator, SolvePolicy};
+use elastisim_des::{ActivitySpec, ResourceId, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,12 +55,11 @@ fn resources_for(n_activities: usize, per_resource: usize) -> usize {
 }
 
 /// Runs `events` churn events over a steady-state population of
-/// `n_activities` on `n_resources` under `policy`, returning the
-/// delivered-event count (consumed so the work cannot be optimized away).
-fn churn(n_activities: usize, n_resources: usize, events: usize, policy: SolvePolicy) -> u64 {
+/// `n_activities` on `n_resources`, returning the delivered-event count
+/// (consumed so the work cannot be optimized away).
+fn churn(n_activities: usize, n_resources: usize, events: usize) -> u64 {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let mut sim: Simulator<()> = Simulator::new();
-    sim.set_solve_policy(policy);
     let resources: Vec<ResourceId> = (0..n_resources).map(|_| sim.add_resource(100.0)).collect();
     for _ in 0..n_activities {
         let spec = random_spec(&mut rng, &resources);
@@ -87,11 +82,8 @@ fn bench_flow_churn(c: &mut Criterion) {
         for &n in &[30usize, 100, 300, 1_000, 3_000, 10_000] {
             let resources = resources_for(n, per_resource);
             let events = 500;
-            group.bench_with_input(BenchmarkId::new("adaptive", n), &n, |b, &n| {
-                b.iter(|| churn(n, resources, events, SolvePolicy::default()));
-            });
-            group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, &n| {
-                b.iter(|| churn(n, resources, events, SolvePolicy::Incremental));
+            group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+                b.iter(|| churn(n, resources, events));
             });
         }
         group.finish();

@@ -169,10 +169,9 @@ impl RunSpec {
 }
 
 /// Serializes the result-affecting `SimConfig` fields in a fixed order.
-/// `progress` and `solver_threads` are deliberately excluded: the stderr
-/// heartbeat never influences the report, and parallel flow solves are
-/// bit-identical at any thread count, so configs differing only in these
-/// knobs must share a fingerprint (and thus a cache entry).
+/// `progress` is deliberately excluded: the stderr heartbeat never
+/// influences the report, so configs differing only in it must share a
+/// fingerprint (and thus a cache entry).
 fn canonical_config(cfg: &SimConfig) -> String {
     use std::fmt::Write as _;
     let mut s = format!(
@@ -253,8 +252,6 @@ mod tests {
         let fp = a.fingerprint();
         a.config.progress = Some(5.0);
         assert_eq!(fp, a.fingerprint(), "progress must be result-neutral");
-        a.config.solver_threads = Some(8);
-        assert_eq!(fp, a.fingerprint(), "solver_threads must be result-neutral");
         a.config.scheduling_interval += 1.0;
         assert_ne!(fp, a.fingerprint(), "interval is result-affecting");
     }

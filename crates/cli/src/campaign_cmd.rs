@@ -168,7 +168,6 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         "seeds",
         "schedulers",
         "workers",
-        "solver-threads",
         "records",
         "progress",
         "metrics-out",
@@ -184,30 +183,8 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         .filter(|s| !s.is_empty())
         .collect();
     let workers = parse_workers(args)?;
-    // Cap workers × solver-threads at the machine's parallelism: workers
-    // shard whole runs and win; solver threads absorb the reduction. A
-    // request of 0 means "all cores" (before the cap). Result-neutral
-    // either way — solver threads never change run output.
-    let solver_threads = match args.get("solver-threads") {
-        None => None,
-        Some(_) => {
-            let n = args.int("solver-threads", 0)? as usize;
-            Some(if n == 0 {
-                crate::commands::auto_threads()
-            } else {
-                n
-            })
-        }
-    };
-    let effective_solver =
-        solver_threads.map(|n| n.min((crate::commands::auto_threads() / workers).max(1)));
     let progress = args.flag("progress")?;
-    let mut specs = campaign_specs(seeds, &schedulers).map_err(UsageError)?;
-    if let Some(n) = effective_solver {
-        for spec in &mut specs {
-            spec.config.solver_threads = Some(n);
-        }
-    }
+    let specs = campaign_specs(seeds, &schedulers).map_err(UsageError)?;
     let total = specs.len();
 
     // Per-run metric collection only when an aggregate output will
@@ -258,18 +235,6 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         cache.len(),
         if cache.len() == 1 { "y" } else { "ies" },
     ));
-    if let (Some(requested), Some(effective)) = (solver_threads, effective_solver) {
-        if effective < requested {
-            table.push_str(&format!(
-                "solver threads: {effective} per worker (capped from {requested}: {workers} worker{} share {} core{})\n",
-                if workers == 1 { "" } else { "s" },
-                crate::commands::auto_threads(),
-                if crate::commands::auto_threads() == 1 { "" } else { "s" },
-            ));
-        } else {
-            table.push_str(&format!("solver threads: {effective} per worker\n"));
-        }
-    }
     let failures: Vec<&RunRecord> = records.iter().filter(|r| r.error().is_some()).collect();
     if failures.is_empty() {
         Ok(table)
@@ -459,40 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_solver_threads_is_capped_and_result_neutral() {
-        let run = |extra: &[&str]| {
-            let mut argv = vec!["sweep", "--seeds", "0..2", "--schedulers", "fcfs"];
-            argv.extend_from_slice(extra);
-            cmd_sweep(&Args::parse(argv).unwrap()).unwrap()
+    fn removed_parallel_solver_flag_is_a_usage_error() {
+        // `run` and `sweep` no longer take a flow-solver thread count; the
+        // old flag must fail as an unknown option, not be ignored.
+        let expect_unknown = |result: Result<(), CliError>| match result {
+            Err(CliError::Usage(e)) => {
+                assert!(e.0.contains("unknown option `--solver-threads`"), "{e}")
+            }
+            other => panic!("expected a usage error, got {other:?}"),
         };
-        let plain = run(&[]);
-        // An absurd request is capped so workers × solver threads never
-        // exceeds the machine, and the effective count is echoed.
-        let capped = run(&["--solver-threads", "4096", "--workers", "2"]);
-        let line = capped
-            .lines()
-            .find(|l| l.starts_with("solver threads:"))
-            .expect("echo line");
-        let effective: usize = line
-            .split_whitespace()
-            .nth(2)
-            .and_then(|s| s.parse().ok())
-            .expect("count");
-        assert!(
-            effective * 2 <= crate::commands::auto_threads().max(2),
-            "{line}"
-        );
-        // Result-neutral: the per-scheduler aggregate rows are identical
-        // with and without a parallel solver.
-        let rows = |table: &str| {
-            table
-                .lines()
-                .filter(|l| l.starts_with("fcfs"))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&plain), rows(&capped));
-        assert!(!plain.contains("solver threads:"), "{plain}");
+        let run = Args::parse(["run", "--solver-threads", "2"]).unwrap();
+        expect_unknown(crate::commands::cmd_run(&run).map(|_| ()));
+        let sweep = Args::parse(["sweep", "--seeds", "0..2", "--solver-threads", "2"]).unwrap();
+        expect_unknown(cmd_sweep(&sweep).map(|_| ()));
     }
 
     #[test]

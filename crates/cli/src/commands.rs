@@ -80,8 +80,8 @@ USAGE:
                       [--seed N] [--check-invariants]
                       [--trace-events FILE] [--chrome-trace FILE]
                       [--metrics-out FILE] [--progress [SECS]]
-                      [--solver-threads N] [--log-json FILE]
-                      [--flight-recorder DIR] [--out DIR]
+                      [--log-json FILE] [--flight-recorder DIR]
+                      [--out DIR]
   elastisim replay    --swf trace.swf [--malleable-frac F] [--seed S]
                       [--moldable-frac M] [--scaling-model linear|amdahl[:S]]
                       [--schedulers NAME,NAME,...] [--nodes N]
@@ -91,8 +91,7 @@ USAGE:
                       [--prom-out FILE] [--log-json FILE]
                       [--flight-recorder DIR] [--progress]
   elastisim sweep     --seeds A..B [--schedulers NAME,NAME,...]
-                      [--workers N] [--solver-threads N]
-                      [--records FILE] [--metrics-out FILE]
+                      [--workers N] [--records FILE] [--metrics-out FILE]
                       [--prom-out FILE] [--log-json FILE]
                       [--flight-recorder DIR] [--progress]
   elastisim serve     [--workers N] [--metrics-out FILE] [--prom-out FILE]
@@ -120,9 +119,7 @@ scheduler invocations, flow re-solves). --metrics-out writes internal
 counters and latency histograms to FILE as JSON; either flag also
 appends the metrics to the printed summary (see DESIGN.md §10).
 --progress prints a heartbeat to stderr roughly every SECS wall-clock
-seconds (default 5). --solver-threads fans the connected components of
-each flow re-solve out to a work-stealing pool (0 = all cores); results
-are bit-identical at any thread count, so this only changes wall time.
+seconds (default 5).
 
 `replay` streams a Standard Workload Format trace (tolerating `-1`
 sentinels, cancelled jobs, and malformed lines, all counted with line
@@ -141,10 +138,6 @@ deterministic report, which --check compares against on later runs;
 half-open range A..B under each listed scheduler (default elastic),
 sharded over --workers threads, and prints a merged per-scheduler
 summary table. Per-run records are byte-identical at any worker count.
---solver-threads gives each run a parallel flow solver; when workers ×
-solver threads would oversubscribe the machine, solver threads are
-reduced (workers win) and the effective counts are echoed in the
-summary.
 --records writes one JSON line per run (id, label, fingerprints,
 makespan, utilization); --progress streams per-run status to stderr.
 
@@ -166,15 +159,6 @@ files after every campaign with lifetime daemon metrics included. All
 of these are off by default and result-neutral: reports and
 fingerprints are byte-identical with them on or off.
 ";
-
-/// Number of threads to use when `--solver-threads 0` (or `--workers 0`)
-/// asks for auto-detection: the machine's available parallelism, or 1 if
-/// that cannot be determined.
-pub fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Parses a `--reconfig-cost` value: `free`, `fixed:SECONDS`, or
 /// `data:BYTES_PER_NODE`.
@@ -314,7 +298,6 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         "chrome-trace",
         "metrics-out",
         "progress",
-        "solver-threads",
         "seed",
         "check-invariants",
         "log-json",
@@ -357,18 +340,6 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
             }
             cfg = cfg.with_progress(secs);
         }
-    }
-    // Parallel flow solver: result-neutral (reports are bit-identical at
-    // any thread count), so this is a pure wall-clock knob. 0 = auto.
-    let solver_threads = match args.get("solver-threads") {
-        None => None,
-        Some(_) => {
-            let n = args.int("solver-threads", 0)? as usize;
-            Some(if n == 0 { auto_threads() } else { n })
-        }
-    };
-    if let Some(n) = solver_threads {
-        cfg = cfg.with_solver_threads(n);
     }
 
     // Telemetry is off (and free) unless an output asked for it; the
@@ -476,9 +447,6 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         ],
     );
     let mut summary = render_summary(&report, &sched_label, effective_seed);
-    if let Some(n) = solver_threads {
-        summary.push_str(&format!("solver threads   : {n}\n"));
-    }
     if chrome_trace.is_some() || metrics_out.is_some() {
         let snapshot = telemetry.snapshot();
         if let Some(path) = &metrics_out {

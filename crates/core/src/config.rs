@@ -72,11 +72,6 @@ pub struct SimConfig {
     /// seconds (sim-time, %jobs done, events/sec). `None` = silent.
     /// Output goes to stderr only and never affects simulation results.
     pub progress: Option<f64>,
-    /// Number of threads used for parallel flow re-solves (the component
-    /// partition of one solve is fanned out to a work-stealing pool).
-    /// `None` = serial. Results are bit-identical at any thread count, so
-    /// this knob — like `progress` — never affects simulation output.
-    pub solver_threads: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -92,7 +87,6 @@ impl Default for SimConfig {
             record_gantt: true,
             failures: None,
             progress: None,
-            solver_threads: None,
         }
     }
 }
@@ -130,14 +124,6 @@ impl SimConfig {
         self.progress = Some(seconds);
         self
     }
-
-    /// Runs flow re-solves on `threads` work-stealing solver threads
-    /// (result-neutral: reports are bit-identical at any thread count).
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.solver_threads = Some(threads);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -166,18 +152,5 @@ mod tests {
     #[should_panic]
     fn zero_interval_rejected() {
         SimConfig::default().with_interval(0.0);
-    }
-
-    #[test]
-    fn solver_threads_builder() {
-        assert_eq!(SimConfig::default().solver_threads, None);
-        let c = SimConfig::default().with_solver_threads(4);
-        assert_eq!(c.solver_threads, Some(4));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_solver_threads_rejected() {
-        SimConfig::default().with_solver_threads(0);
     }
 }

@@ -119,9 +119,6 @@ impl Simulation {
     ) -> Result<Self, WorkloadError> {
         validate_workload(&workload, platform_spec.num_nodes())?;
         let mut sim = Simulator::new();
-        if let Some(threads) = cfg.solver_threads {
-            sim.set_solver_threads(threads.max(1));
-        }
         let platform = Platform::instantiate(platform_spec, &mut sim);
         let mut jobs = BTreeMap::new();
         for spec in workload {
@@ -169,15 +166,6 @@ impl Simulation {
         self.sim.set_telemetry(telemetry.clone());
         self.driver.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
-    }
-
-    /// Overrides the parallel flow-solver policy (thread count plus the
-    /// partitioning thresholds) of the underlying engine. The config knob
-    /// [`SimConfig::solver_threads`] covers normal use; this hook exists
-    /// so tests can force partitioning on small scenarios. Any setting
-    /// yields bit-identical reports.
-    pub fn set_parallelism(&mut self, par: elastisim_des::ParPolicy) {
-        self.sim.set_parallelism(par);
     }
 
     /// Runs to completion and returns the report.
@@ -313,8 +301,6 @@ impl Simulation {
             );
             self.telemetry
                 .counter_add("flow.recomputes", self.sim.recompute_count());
-            self.telemetry
-                .counter_add("flow.mode_switches", self.sim.flow_mode_switches());
         }
         self.build_report()
     }

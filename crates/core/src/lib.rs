@@ -67,7 +67,6 @@ mod trace;
 pub use chrome::ChromeTraceWriter;
 pub use config::{FailureModel, ReconfigCost, SimConfig};
 pub use driver::{SchedulerDriver, SimError};
-pub use elastisim_des::ParPolicy;
 pub use engine::Simulation;
 pub use exec::ExecError;
 pub use invariant::{InvariantChecker, InvariantViolation};

@@ -16,11 +16,10 @@
 //! * [`flow`] — resources + activities + work integration. Incremental:
 //!   lazy per-activity integration, a lazily-invalidated completion heap,
 //!   and partial fair-share re-solves scoped to the connected component of
-//!   the resources an event touched. State lives in dense slot-indexed
-//!   structure-of-arrays tables with a shared CSR usage arena, and an
-//!   adaptive policy ([`flow::SolvePolicy`]) falls back to a plain
-//!   full-sweep solve at scales where component bookkeeping costs more
-//!   than it saves.
+//!   the resources an event touched, falling back to a full solve when
+//!   the change spans most of the network. State lives in dense
+//!   slot-indexed structure-of-arrays tables with a shared CSR usage
+//!   arena.
 //! * [`sim`] — [`Simulator`], the inverted-control driver: every timer and
 //!   activity carries a user payload which `step()` hands back in
 //!   deterministic order.
@@ -39,9 +38,7 @@ pub mod queue;
 pub mod sim;
 pub mod time;
 
-pub use flow::{
-    ActivityId, ActivitySpec, FlowNetwork, ParPolicy, Progress, ResourceId, SolveKind, SolvePolicy,
-};
+pub use flow::{ActivityId, ActivitySpec, FlowNetwork, Progress, ResourceId, SolveKind};
 pub use queue::{EntryId, EventQueue};
 pub use sim::{Simulator, TimerId};
 pub use time::Time;

@@ -27,9 +27,7 @@ use std::collections::{HashMap, VecDeque};
 
 use elastisim_telemetry::{LogHistogram, Telemetry};
 
-use crate::flow::{
-    ActivityId, ActivitySpec, FlowNetwork, ParPolicy, Progress, ResourceId, SolveKind, SolvePolicy,
-};
+use crate::flow::{ActivityId, ActivitySpec, FlowNetwork, Progress, ResourceId, SolveKind};
 use crate::queue::{EntryId, EventQueue};
 use crate::time::Time;
 
@@ -43,21 +41,20 @@ enum Internal<E> {
     FlowWake,
 }
 
+/// Sampling cadence for the per-recompute *histograms* (re-solve wall
+/// time, solved-activity counts, queue depth): only every Nth refresh
+/// records them. Counters (`flow.resolves_*`) stay exact — they are
+/// single integer increments — but histogram records touch several cache
+/// lines each and the timing one reads the clock twice, which together
+/// would dominate small simulations if paid on every recompute. Power of
+/// two, so the cadence check compiles to a mask.
+const FLOW_STATS_SAMPLE: u64 = 8;
+
 /// Locally-batched flow/queue statistics, published to the telemetry
 /// registry in one burst by [`Simulator::flush_telemetry`]. Recording
 /// into plain fields costs a few arithmetic ops per re-solve; registry
 /// calls each take a mutex plus a map lookup, which dominates small
 /// simulations when paid per recompute.
-/// Sampling cadence for the per-recompute *histograms* (re-solve wall
-/// time, solved-activity counts, partition shapes, queue depth): only
-/// every Nth refresh records them. Counters (`flow.resolves_*`,
-/// `flow.par.batches`) stay exact — they are single integer increments —
-/// but histogram records touch several cache lines each and the timing
-/// one reads the clock twice, which together would dominate small
-/// simulations if paid on every recompute. Power of two, so the cadence
-/// check compiles to a mask.
-const FLOW_STATS_SAMPLE: u64 = 8;
-
 #[derive(Default)]
 struct FlowStats {
     /// Refresh calls so far, driving the sample cadence.
@@ -69,10 +66,6 @@ struct FlowStats {
     resolve_activities: LogHistogram,
     resolves_full: u64,
     resolves_partial: u64,
-    resolves_adaptive: u64,
-    par_batches: u64,
-    components_per_batch: LogHistogram,
-    component_size: LogHistogram,
     queue_depth: LogHistogram,
 }
 
@@ -93,9 +86,6 @@ pub struct Simulator<E> {
     events_delivered: u64,
     /// Simulator-internals metrics (disabled by default: a no-op handle).
     telemetry: Telemetry,
-    /// Stolen-task watermark already reported to telemetry (the pool
-    /// counter is cumulative; metrics want per-flush deltas).
-    par_stolen_seen: u64,
     /// Batched per-recompute statistics awaiting a flush.
     stats: FlowStats,
 }
@@ -118,7 +108,6 @@ impl<E> Simulator<E> {
             flow_timer: None,
             events_delivered: 0,
             telemetry: Telemetry::disabled(),
-            par_stolen_seen: 0,
             stats: FlowStats::default(),
         }
     }
@@ -135,7 +124,7 @@ impl<E> Simulator<E> {
     }
 
     /// Publishes the locally-batched flow/queue statistics (re-solve
-    /// timings, solve-kind counts, parallel-batch shapes, queue depth)
+    /// timings, solve-kind counts, queue depth)
     /// to the attached telemetry handle. Each call publishes only what
     /// accumulated since the previous one, so flushing twice never
     /// double-counts; a disabled handle makes this a no-op.
@@ -155,32 +144,6 @@ impl<E> Simulator<E> {
         if stats.resolves_partial > 0 {
             self.telemetry
                 .counter_add("flow.resolves_partial", stats.resolves_partial);
-        }
-        if stats.resolves_adaptive > 0 {
-            self.telemetry
-                .counter_add("flow.resolves_adaptive", stats.resolves_adaptive);
-        }
-        if stats.resolves_full + stats.resolves_partial + stats.resolves_adaptive > 0 {
-            // Gauge semantics (last write wins): the live flow state at
-            // flush time IS the latest value, no per-recompute tracking
-            // needed. Guarded so a flush without recomputes since the
-            // last one never creates or overwrites the key.
-            self.telemetry
-                .gauge_set("flow.adaptive_mode", self.flow.sweep_mode() as u8 as f64);
-        }
-        if stats.par_batches > 0 {
-            self.telemetry
-                .counter_add("flow.par.batches", stats.par_batches);
-        }
-        self.telemetry
-            .observe_batch("flow.par.components_per_batch", &stats.components_per_batch);
-        self.telemetry
-            .observe_batch("flow.par.component_size", &stats.component_size);
-        let stolen = self.flow.stolen_tasks();
-        let delta = stolen - self.par_stolen_seen;
-        if delta > 0 {
-            self.telemetry.counter_add("flow.par.stolen_tasks", delta);
-            self.par_stolen_seen = stolen;
         }
         self.telemetry
             .observe_batch("des.queue.depth", &stats.queue_depth);
@@ -202,50 +165,6 @@ impl<E> Simulator<E> {
     /// compaction (telemetry gauge `des.queue.cancelled_entries`).
     pub fn queue_cancelled_entries(&self) -> usize {
         self.queue.cancelled_len()
-    }
-
-    /// Replaces the flow solve-path policy (see [`SolvePolicy`]); the
-    /// default is adaptive. Rates and event order are unaffected — policy
-    /// only selects which equivalent solve path runs.
-    pub fn set_solve_policy(&mut self, policy: SolvePolicy) {
-        self.flow.set_solve_policy(policy);
-    }
-
-    /// How many times the adaptive policy switched solve modes (telemetry
-    /// counter `flow.mode_switches`).
-    pub fn flow_mode_switches(&self) -> u64 {
-        self.flow.mode_switches()
-    }
-
-    /// Replaces the parallel component-solver policy (see [`ParPolicy`]).
-    /// Like [`set_solve_policy`](Self::set_solve_policy) this never
-    /// affects rates or event order — partitioned and merged solves are
-    /// bit-identical at any thread count; only wall time differs.
-    pub fn set_parallelism(&mut self, par: ParPolicy) {
-        self.flow.set_parallelism(par);
-    }
-
-    /// Convenience: runs large re-solves on `threads` solver threads
-    /// (including this one) with the default partitioning crossovers.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.flow.set_parallelism(ParPolicy::with_threads(threads));
-    }
-
-    /// The active parallel-solver policy.
-    pub fn parallelism(&self) -> ParPolicy {
-        self.flow.parallelism()
-    }
-
-    /// How many re-solves were partitioned into per-component solves
-    /// (telemetry counter `flow.par.batches`).
-    pub fn flow_par_batches(&self) -> u64 {
-        self.flow.par_batches()
-    }
-
-    /// Cumulative component-solve tasks moved between solver threads by
-    /// work stealing (telemetry counter `flow.par.stolen_tasks`).
-    pub fn flow_stolen_tasks(&self) -> u64 {
-        self.flow.stolen_tasks()
     }
 
     /// Current simulated time.
@@ -306,19 +225,6 @@ impl<E> Simulator<E> {
     pub fn set_capacity(&mut self, id: ResourceId, capacity: f64) {
         self.flow.advance_to(self.now);
         self.flow.set_capacity(id, capacity);
-        self.refresh_flow();
-    }
-
-    /// Changes many capacities at once with a single re-solve — the batch
-    /// analog of [`set_capacity`](Self::set_capacity) for platform-wide
-    /// events (frequency scaling, power capping, failure waves). One call
-    /// with N updates is equivalent to N single calls at the same instant
-    /// but re-solves the sharing fixed point once instead of N times.
-    pub fn set_capacities(&mut self, updates: impl IntoIterator<Item = (ResourceId, f64)>) {
-        self.flow.advance_to(self.now);
-        for (id, capacity) in updates {
-            self.flow.set_capacity(id, capacity);
-        }
         self.refresh_flow();
     }
 
@@ -446,7 +352,6 @@ impl<E> Simulator<E> {
                 match kind {
                     SolveKind::Full => self.stats.resolves_full += 1,
                     SolveKind::Partial => self.stats.resolves_partial += 1,
-                    SolveKind::Sweep => self.stats.resolves_adaptive += 1,
                 }
                 if self.telemetry.timeline_enabled() {
                     // The detail string is pinned by the Chrome-trace
@@ -457,25 +362,6 @@ impl<E> Simulator<E> {
                         .timeline_push(self.now.as_secs(), "flow.resolve", || {
                             format!("activities={activities} full={full}")
                         });
-                }
-                let partition = self.flow.last_partition();
-                if !partition.is_empty() {
-                    let components = partition.len();
-                    self.stats.par_batches += 1;
-                    if sample {
-                        self.stats.components_per_batch.record(components as f64);
-                        let mut prev = 0u32;
-                        for &end in partition {
-                            self.stats.component_size.record((end - prev) as f64);
-                            prev = end;
-                        }
-                    }
-                    if self.telemetry.timeline_enabled() {
-                        self.telemetry
-                            .timeline_push(self.now.as_secs(), "flow.par.batch", || {
-                                format!("components={components} activities={activities}")
-                            });
-                    }
                 }
             }
             if sample {

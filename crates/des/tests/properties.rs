@@ -4,8 +4,7 @@
 
 use elastisim_des::fairshare::{check_feasible_and_fair, solve, solve_with, Demand, Workspace};
 use elastisim_des::{
-    ActivityId, ActivitySpec, EventQueue, FlowNetwork, ParPolicy, ResourceId, Simulator,
-    SolvePolicy, Time,
+    ActivityId, ActivitySpec, EventQueue, FlowNetwork, ResourceId, Simulator, Time,
 };
 use proptest::prelude::*;
 
@@ -374,19 +373,8 @@ fn close_t(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 + 1e-9 * a.abs().max(b.abs())
 }
 
-fn replay(caps: &[f64], ops: &[Op], policy: SolvePolicy) -> Result<(), TestCaseError> {
-    replay_par(caps, ops, policy, ParPolicy::default())
-}
-
-fn replay_par(
-    caps: &[f64],
-    ops: &[Op],
-    policy: SolvePolicy,
-    par: ParPolicy,
-) -> Result<(), TestCaseError> {
+fn replay(caps: &[f64], ops: &[Op]) -> Result<(), TestCaseError> {
     let mut net = FlowNetwork::new();
-    net.set_solve_policy(policy);
-    net.set_parallelism(par);
     let rids: Vec<ResourceId> = caps.iter().map(|&c| net.add_resource(c)).collect();
     let mut reference = RefEngine::new(caps.to_vec());
     // Both engines hand out ids 0, 1, 2, … in start order; the pair list
@@ -516,11 +504,10 @@ fn replay_par(
 }
 
 /// Storm traces: alternating add bursts, remove bursts, and capacity
-/// churn. With the tight adaptive thresholds below, the live count
-/// repeatedly crosses the hysteresis band, forcing sweep↔incremental mode
-/// switches mid-trace — the regime where stale dirty-set or frozen-rate
-/// bugs at the mode boundary would show up as a divergence from the
-/// reference engine.
+/// churn (including zeroing), so the live count swings widely and solves
+/// flip between partial and full-fallback paths mid-trace — the regime
+/// where stale dirty-set or frozen-rate bugs would show up as a
+/// divergence from the reference engine.
 fn arb_storm_trace() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
     (2usize..6).prop_flat_map(|nres| {
         let burst = prop_oneof![
@@ -552,208 +539,20 @@ fn arb_storm_trace() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
     })
 }
 
-/// Thresholds small enough that storm traces cross them repeatedly.
-fn tight_adaptive() -> SolvePolicy {
-    SolvePolicy::Adaptive {
-        sweep_enter: 3,
-        sweep_exit: 5,
-        window: 2,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// 1000 randomized start/cancel/capacity-change traces replayed through
-    /// the incremental engine and the retained full-solve reference: rates,
+    /// 1000 randomized traces — uniform start/cancel/capacity-change
+    /// mixes and add/remove/capacity storms — replayed through the
+    /// incremental engine and the retained full-solve reference: rates,
     /// remaining work, completion predictions, and completion order must
     /// all agree.
     #[test]
-    fn incremental_engine_matches_full_solve_reference((caps, ops) in arb_trace()) {
-        replay(&caps, &ops, SolvePolicy::Incremental)?;
+    fn incremental_engine_matches_full_solve_reference(
+        (caps, ops) in prop_oneof![arb_trace(), arb_storm_trace()],
+    ) {
+        replay(&caps, &ops)?;
     }
-
-    /// The same oracle under the default adaptive policy: identical
-    /// observable behaviour regardless of which solve path runs.
-    #[test]
-    fn adaptive_engine_matches_full_solve_reference((caps, ops) in arb_trace()) {
-        replay(&caps, &ops, SolvePolicy::default())?;
-    }
-
-    /// Add/remove storms and capacity churn under hair-trigger adaptive
-    /// thresholds, so traces switch modes mid-flight — every rate,
-    /// remaining-work value, and completion still matches the reference.
-    #[test]
-    fn storms_force_mode_switches_and_still_match((caps, ops) in arb_storm_trace()) {
-        replay(&caps, &ops, tight_adaptive())?;
-    }
-
-    /// Pure sweep policy against the same oracle (the degenerate mode the
-    /// adaptive path falls back to must itself be correct).
-    #[test]
-    fn sweep_engine_matches_full_solve_reference((caps, ops) in arb_trace()) {
-        replay(&caps, &ops, SolvePolicy::Sweep)?;
-    }
-}
-
-/// Partitioning forced on for every solve, regardless of batch size.
-fn forced_partitioning(threads: usize) -> ParPolicy {
-    ParPolicy {
-        threads,
-        min_activities: 1,
-        min_components: 1,
-    }
-}
-
-/// Replays one trace through a flow network configured with `par`,
-/// logging every live activity's rate and remaining-work bits after
-/// every operation — the raw material for bit-identity comparisons.
-fn par_rate_trace(caps: &[f64], ops: &[Op], par: ParPolicy) -> Vec<u64> {
-    let mut net = FlowNetwork::new();
-    net.set_parallelism(par);
-    let rids: Vec<ResourceId> = caps.iter().map(|&c| net.add_resource(c)).collect();
-    let mut live: Vec<ActivityId> = Vec::new();
-    let mut out = Vec::new();
-    for op in ops {
-        match op {
-            Op::Start { work, res, bound } => {
-                live.push(net.start(ActivitySpec {
-                    work: *work,
-                    usages: res.iter().map(|&(r, w)| (rids[r], w)).collect(),
-                    bound: *bound,
-                }));
-            }
-            Op::Cancel(k) => {
-                if !live.is_empty() {
-                    let a = live.remove(k % live.len());
-                    net.cancel(a);
-                }
-            }
-            Op::SetCap { res, cap } => net.set_capacity(rids[*res], *cap),
-            Op::Run => {
-                net.recompute();
-                if let Some(t) = net.next_completion() {
-                    net.advance_to(t);
-                    for done in net.harvest_completed() {
-                        live.retain(|a| *a != done);
-                    }
-                }
-            }
-        }
-        net.recompute();
-        for &a in &live {
-            let p = net.progress(a).expect("live");
-            out.push(p.rate.to_bits());
-            out.push(p.remaining.to_bits());
-        }
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
-
-    /// The differential oracle with component partitioning forced on and
-    /// the solve fanned out over worker threads: still indistinguishable
-    /// from the eager full-solve reference.
-    #[test]
-    fn partitioned_parallel_engine_matches_reference((caps, ops) in arb_trace()) {
-        replay_par(&caps, &ops, SolvePolicy::default(), forced_partitioning(2))?;
-    }
-
-    /// Partitioned solves are *bit-identical* to the merged solve at any
-    /// thread count — rates and remaining work compared via `to_bits`
-    /// after every operation of arbitrary traces.
-    #[test]
-    fn partitioned_rates_are_bit_identical_across_thread_counts((caps, ops) in arb_trace()) {
-        let merged = par_rate_trace(&caps, &ops, ParPolicy {
-            threads: 1,
-            min_activities: usize::MAX,
-            min_components: 2,
-        });
-        for threads in [1usize, 2, 8] {
-            let split = par_rate_trace(&caps, &ops, forced_partitioning(threads));
-            prop_assert_eq!(&merged, &split, "threads={}", threads);
-        }
-    }
-}
-
-/// A deterministic storm that verifiably crosses the hysteresis band in
-/// both directions: the adaptive engine must actually switch modes (not
-/// just tolerate the possibility) and still agree with the reference —
-/// `replay` checks agreement after every single operation.
-#[test]
-fn deterministic_storm_switches_modes_both_ways() {
-    let caps = vec![10.0, 20.0, 30.0];
-    let mut ops = Vec::new();
-    // Phase 1: small population + churn → enter sweep.
-    ops.push(Op::Start {
-        work: 1e7,
-        res: vec![(0, 1.0)],
-        bound: f64::INFINITY,
-    });
-    for i in 0..6 {
-        ops.push(Op::SetCap {
-            res: i % 3,
-            cap: 5.0 + i as f64,
-        });
-    }
-    // Phase 2: add storm well past sweep_exit → back to incremental.
-    for i in 0..12 {
-        ops.push(Op::Start {
-            work: 1e7,
-            res: vec![(i % 3, 1.0)],
-            bound: f64::INFINITY,
-        });
-    }
-    for i in 0..6 {
-        ops.push(Op::SetCap {
-            res: i % 3,
-            cap: 7.0 + i as f64,
-        });
-    }
-    // Phase 3: remove storm back below sweep_enter → sweep again.
-    for _ in 0..12 {
-        ops.push(Op::Cancel(0));
-    }
-    for i in 0..6 {
-        ops.push(Op::SetCap {
-            res: i % 3,
-            cap: 9.0 + i as f64,
-        });
-    }
-    replay(&caps, &ops, tight_adaptive()).expect("storm diverged from reference");
-
-    // Re-run outside the oracle to count the switches themselves.
-    let mut net = FlowNetwork::new();
-    net.set_solve_policy(tight_adaptive());
-    let rids: Vec<ResourceId> = caps.iter().map(|&c| net.add_resource(c)).collect();
-    let mut live = Vec::new();
-    for op in &ops {
-        match op {
-            Op::Start { work, res, bound } => {
-                live.push(net.start(ActivitySpec {
-                    work: *work,
-                    usages: res.iter().map(|&(r, w)| (rids[r], w)).collect(),
-                    bound: *bound,
-                }));
-            }
-            Op::Cancel(k) => {
-                if !live.is_empty() {
-                    let a = live.remove(k % live.len());
-                    net.cancel(a);
-                }
-            }
-            Op::SetCap { res, cap } => net.set_capacity(rids[*res], *cap),
-            Op::Run => {}
-        }
-        net.recompute();
-    }
-    assert!(
-        net.mode_switches() >= 2,
-        "storm should switch modes both ways, saw {}",
-        net.mode_switches()
-    );
 }
 
 // ---------------------------------------------------------------------

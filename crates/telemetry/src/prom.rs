@@ -153,8 +153,8 @@ mod tests {
     #[test]
     fn names_are_sanitized_and_prefixed() {
         assert_eq!(
-            sanitize_name("flow.par.steal-rate"),
-            "elastisim_flow_par_steal_rate"
+            sanitize_name("des.queue.live-entries"),
+            "elastisim_des_queue_live_entries"
         );
         assert_eq!(sanitize_name("runs"), "elastisim_runs");
     }
