@@ -2,8 +2,8 @@
 //! off and on, reports both, and fails (exit 1) when the enabled run is
 //! more than 5% slower.
 //!
-//! The workload is the same node-local churn stream as the `flow_churn`
-//! criterion bench — the hot path the zero-sink guarantee protects. Each
+//! The workload is a node-local stream of activity starts and cancels on
+//! the flow engine — the hot path the zero-sink guarantee protects. Each
 //! arm runs several repetitions with the arm order alternating per rep,
 //! and the *minimum* wall time is compared, which discards
 //! scheduler-noise outliers that would make a percentage gate flaky in

@@ -1,7 +1,6 @@
 #![warn(missing_docs)]
 
-//! Shared helpers for the experiment harnesses (`src/bin/exp_*.rs`) and
-//! criterion benches.
+//! Shared helpers for the experiment harnesses (`src/bin/exp_*.rs`).
 //!
 //! Every reconstructed experiment in DESIGN.md §3 is one binary; they all
 //! draw their platform and workload from here so the parameters printed by

@@ -27,7 +27,7 @@ use elastisim_platform::{NodeSpec, PlatformSpec};
 use elastisim_workload::{convert_stream, InjectionConfig, JobSpec, ReplayStats};
 
 use crate::executor::RunRecord;
-use crate::spec::RunSpec;
+use crate::spec::{digest, RunSpec};
 
 /// The full, fingerprintable description of one replay experiment.
 #[derive(Clone, Debug)]
@@ -177,24 +177,6 @@ pub fn combined_fingerprint(records: &[RunRecord]) -> String {
         canon.push('\n');
     }
     digest("rep1", &canon)
-}
-
-fn digest(prefix: &str, canon: &str) -> String {
-    let lo = fnv1a(canon.as_bytes(), FNV_OFFSET);
-    let hi = fnv1a(canon.as_bytes(), FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
-    format!("{prefix}-{hi:016x}{lo:016x}")
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], offset: u64) -> u64 {
-    let mut hash = offset;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The per-scheduler comparison table for terminal output: one row per

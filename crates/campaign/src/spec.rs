@@ -161,10 +161,7 @@ impl RunSpec {
     /// equal inputs produce byte-identical reports — the soundness basis
     /// of the campaign result cache.
     pub fn fingerprint(&self) -> String {
-        let canon = self.canonical_input();
-        let lo = fnv1a(canon.as_bytes(), FNV_OFFSET);
-        let hi = fnv1a(canon.as_bytes(), FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
-        format!("sfp1-{hi:016x}{lo:016x}")
+        digest("sfp1", &self.canonical_input())
     }
 }
 
@@ -207,6 +204,17 @@ fn canonical_config(cfg: &SimConfig) -> String {
     s
 }
 
+/// A 128-bit FNV-1a digest of `canon`, rendered as
+/// `<prefix>-<32 hex digits>`: the high half is FNV-1a from an offset
+/// basis perturbed by the golden-ratio constant. Shared by every
+/// campaign fingerprint: `sfp1-` here, `rfp1-` and `rep1-` in
+/// [`crate::replay`].
+pub(crate) fn digest(prefix: &str, canon: &str) -> String {
+    let lo = fnv1a(canon.as_bytes(), FNV_OFFSET);
+    let hi = fnv1a(canon.as_bytes(), FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
+    format!("{prefix}-{hi:016x}{lo:016x}")
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -231,6 +239,17 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(a.fingerprint().starts_with("sfp1-"), "{}", a.fingerprint());
         assert_eq!(a.fingerprint().len(), "sfp1-".len() + 32);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Fingerprints appear in `--records` files and key a daemon's
+        // result cache, so this literal may change only with a deliberate
+        // bump of the `sfp1` format version.
+        assert_eq!(
+            RunSpec::from_seed(0, 7, "fcfs").fingerprint(),
+            "sfp1-4becc073404b322b2c67b83fc998a13a"
+        );
     }
 
     #[test]

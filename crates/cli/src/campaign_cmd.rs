@@ -7,8 +7,8 @@ use std::path::PathBuf;
 
 use elastisim_campaign::protocol::SeedRange;
 use elastisim_campaign::{
-    aggregate_by_scheduler, campaign_specs, serve, CampaignEvent, Executor, Observability,
-    RecorderConfig, RunRecord, ServeOptions,
+    aggregate_by_scheduler, campaign_specs, serve, CampaignEvent, CampaignResult, Executor,
+    Observability, RecorderConfig, RunRecord, RunSpec, ServeOptions,
 };
 use elastisim_telemetry::{prom, MetricsSnapshot};
 
@@ -80,7 +80,9 @@ pub fn parse_seed_range(s: &str) -> Result<SeedRange, UsageError> {
     }
 }
 
-fn parse_workers(args: &Args) -> Result<usize, UsageError> {
+/// Parses `--workers N` (default 1), shared by `sweep`, `serve` and
+/// `replay`.
+pub(crate) fn parse_workers(args: &Args) -> Result<usize, UsageError> {
     let workers = args.int("workers", 1)? as usize;
     if workers == 0 {
         return Err(UsageError("--workers must be ≥ 1".into()));
@@ -88,10 +90,71 @@ fn parse_workers(args: &Args) -> Result<usize, UsageError> {
     Ok(workers)
 }
 
-/// One JSONL record per run, written by `sweep --records` (and reused by
-/// `replay --records`). Schema keys sorted to match the streamed
+/// Runs a campaign on `executor`; with `progress` set, prints one
+/// `[i/N] label ok|FAILED` line to stderr per finished run. Returns the
+/// result and the campaign's wall time in seconds.
+pub(crate) fn run_with_progress(
+    executor: &Executor,
+    specs: Vec<RunSpec>,
+    progress: bool,
+) -> (CampaignResult, f64) {
+    let total = specs.len();
+    let start = std::time::Instant::now();
+    let result = executor.run_campaign_with(specs, |event| {
+        if !progress {
+            return;
+        }
+        if let CampaignEvent::RunFinished(record) = event {
+            eprintln!(
+                "[{}/{total}] {} {}",
+                record.id + 1,
+                record.label,
+                match record.error() {
+                    None => "ok",
+                    Some(_) => "FAILED",
+                }
+            );
+        }
+    });
+    (result, start.elapsed().as_secs_f64())
+}
+
+/// Writes `--records PATH`, if given: one [`record_json`] line per run.
+pub(crate) fn write_records(args: &Args, records: &[RunRecord]) -> Result<(), CliError> {
+    if let Some(path) = args.get("records") {
+        let mut lines = String::with_capacity(records.len() * 128);
+        for record in records {
+            lines.push_str(&record_json(record));
+            lines.push('\n');
+        }
+        fs::write(path, lines).map_err(|e| CliError::Io(path.into(), e))?;
+    }
+    Ok(())
+}
+
+/// Passes `output` through when every run completed; otherwise returns a
+/// data error listing the first five failures above `output`.
+pub(crate) fn fail_on_errors(records: &[RunRecord], output: String) -> Result<String, CliError> {
+    let failures: Vec<&RunRecord> = records.iter().filter(|r| r.error().is_some()).collect();
+    if failures.is_empty() {
+        return Ok(output);
+    }
+    let mut msg = format!("{}/{} runs failed:\n", failures.len(), records.len());
+    for record in failures.iter().take(5) {
+        msg.push_str(&format!(
+            "  {}: {}\n",
+            record.label,
+            record.error().expect("filtered")
+        ));
+    }
+    msg.push_str(&output);
+    Err(CliError::Data(msg))
+}
+
+/// One JSONL record per run, written by `sweep --records` and
+/// `replay --records`. Schema keys sorted to match the streamed
 /// `run_finished` protocol message where they overlap.
-pub(crate) fn record_json(record: &RunRecord) -> String {
+fn record_json(record: &RunRecord) -> String {
     use std::fmt::Write as _;
     let mut line = String::from("{");
     let _ = write!(
@@ -185,44 +248,18 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let workers = parse_workers(args)?;
     let progress = args.flag("progress")?;
     let specs = campaign_specs(seeds, &schedulers).map_err(UsageError)?;
-    let total = specs.len();
 
     // Per-run metric collection only when an aggregate output will
     // consume it — the snapshots are wall-clock data, never fingerprinted.
     let collect = args.get("metrics-out").is_some() || args.get("prom-out").is_some();
     let obs = observability_from_args(args, collect)?;
     let executor = Executor::new(workers).with_observability(obs);
-    let start = std::time::Instant::now();
-    let result = executor.run_campaign_with(specs, |event| {
-        if !progress {
-            return;
-        }
-        if let CampaignEvent::RunFinished(record) = event {
-            eprintln!(
-                "[{}/{total}] {} {}",
-                record.id + 1,
-                record.label,
-                match record.error() {
-                    None => "ok",
-                    Some(_) => "FAILED",
-                }
-            );
-        }
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let (result, wall_seconds) = run_with_progress(&executor, specs, progress);
     if collect {
         write_campaign_metrics(args, &result.merged_metrics())?;
     }
     let records = result.records;
-
-    if let Some(path) = args.get("records") {
-        let mut lines = String::with_capacity(records.len() * 128);
-        for record in &records {
-            lines.push_str(&record_json(record));
-            lines.push('\n');
-        }
-        fs::write(path, lines).map_err(|e| CliError::Io(path.into(), e))?;
-    }
+    write_records(args, &records)?;
 
     let mut table = render_table(&records, workers, wall_seconds);
     let cache = executor.cache();
@@ -235,21 +272,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         cache.len(),
         if cache.len() == 1 { "y" } else { "ies" },
     ));
-    let failures: Vec<&RunRecord> = records.iter().filter(|r| r.error().is_some()).collect();
-    if failures.is_empty() {
-        Ok(table)
-    } else {
-        let mut msg = format!("{}/{} runs failed:\n", failures.len(), records.len());
-        for record in failures.iter().take(5) {
-            msg.push_str(&format!(
-                "  {}: {}\n",
-                record.label,
-                record.error().expect("filtered")
-            ));
-        }
-        msg.push_str(&table);
-        Err(CliError::Data(msg))
-    }
+    fail_on_errors(&records, table)
 }
 
 /// `elastisim serve`: the stdin/stdout campaign daemon. Blocks until

@@ -13,11 +13,15 @@ use std::io::BufReader;
 use std::path::Path;
 
 use elastisim_campaign::replay::{combined_fingerprint, render_markdown, render_table};
-use elastisim_campaign::{CampaignEvent, Executor, ReplayCampaign, ReplaySpec, RunRecord};
+use elastisim_campaign::{Executor, ReplayCampaign, ReplaySpec};
 use elastisim_telemetry::Telemetry;
 use elastisim_workload::{InjectionConfig, ScalingModel, SkipReason};
 
 use crate::args::{Args, UsageError};
+use crate::campaign_cmd::{
+    fail_on_errors, observability_from_args, parse_workers, run_with_progress,
+    write_campaign_metrics, write_records,
+};
 use crate::commands::CliError;
 
 /// `elastisim replay`: convert + inject + 5-scheduler comparison.
@@ -80,10 +84,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     }
     spec.procs_per_node = procs_per_node as u32;
     spec.config = spec.config.with_interval(args.num("interval", 60.0)?);
-    let workers = args.int("workers", 1)? as usize;
-    if workers == 0 {
-        return Err(UsageError("--workers must be ≥ 1".into()).into());
-    }
+    let workers = parse_workers(args)?;
 
     // One streaming pass over the trace file: parse, classify, convert.
     let file = fs::File::open(path).map_err(|e| CliError::Io(path.into(), e))?;
@@ -102,7 +103,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 
     if args.flag("convert-only")? {
         if let Some(snapshot) = &conversion_metrics {
-            crate::campaign_cmd::write_campaign_metrics(args, snapshot)?;
+            write_campaign_metrics(args, snapshot)?;
         }
         let mut out = convert_summary(&campaign);
         out.push_str(&format!(
@@ -114,46 +115,20 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 
     // Every structured log record of this replay carries the rfp1-
     // fingerprint, correlating run-level records back to the experiment.
-    let mut obs = crate::campaign_cmd::observability_from_args(args, collect)?;
+    let mut obs = observability_from_args(args, collect)?;
     obs.logger = obs
         .logger
         .with("replay_fingerprint", campaign.fingerprint().as_str());
 
     let progress = args.flag("progress")?;
-    let total = campaign.spec.schedulers.len();
     let executor = Executor::new(workers).with_observability(obs);
-    let start = std::time::Instant::now();
-    let result = executor.run_campaign_with(campaign.run_specs(), |event| {
-        if !progress {
-            return;
-        }
-        if let CampaignEvent::RunFinished(record) = event {
-            eprintln!(
-                "[{}/{total}] {} {}",
-                record.id + 1,
-                record.label,
-                match record.error() {
-                    None => "ok",
-                    Some(_) => "FAILED",
-                }
-            );
-        }
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let (result, wall_seconds) = run_with_progress(&executor, campaign.run_specs(), progress);
     if let Some(mut snapshot) = conversion_metrics {
         snapshot.merge(&result.merged_metrics());
-        crate::campaign_cmd::write_campaign_metrics(args, &snapshot)?;
+        write_campaign_metrics(args, &snapshot)?;
     }
     let records = result.records;
-
-    if let Some(records_path) = args.get("records") {
-        let mut lines = String::with_capacity(records.len() * 128);
-        for record in &records {
-            lines.push_str(&crate::campaign_cmd::record_json(record));
-            lines.push('\n');
-        }
-        fs::write(records_path, lines).map_err(|e| CliError::Io(records_path.into(), e))?;
-    }
+    write_records(args, &records)?;
 
     let mut report = render_table(&campaign, &records);
     if args.flag("markdown")? {
@@ -180,22 +155,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
         check_against_golden(golden_path, &report)?;
         report.push_str(&format!("golden check: ok ({golden_path})\n"));
     }
-
-    let failures: Vec<&RunRecord> = records.iter().filter(|r| r.error().is_some()).collect();
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        let mut msg = format!("{}/{} runs failed:\n", failures.len(), records.len());
-        for record in failures.iter().take(5) {
-            msg.push_str(&format!(
-                "  {}: {}\n",
-                record.label,
-                record.error().expect("filtered")
-            ));
-        }
-        msg.push_str(&report);
-        Err(CliError::Data(msg))
-    }
+    fail_on_errors(&records, report)
 }
 
 /// The conversion-only summary: counts, skip reasons, platform sizing.
@@ -427,6 +387,27 @@ mod tests {
         let one = fingerprint(&["--workers", "1"]);
         assert_eq!(one, fingerprint(&["--workers", "2"]));
         assert_eq!(one, fingerprint(&["--workers", "8"]));
+    }
+
+    #[test]
+    fn committed_golden_matches() {
+        // The scenario (`rfp1-`) and result (`rep1-`) fingerprints of the
+        // committed PWA-excerpt snapshot: any drift in conversion,
+        // injection, scheduling or fingerprinting fails here.
+        let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/replay-excerpt-frac03.txt");
+        let out = replay(&[
+            "--malleable-frac",
+            "0.3",
+            "--seed",
+            "42",
+            "--workers",
+            "2",
+            "--check",
+            golden.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert!(out.contains("golden check: ok"), "{out}");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Performance models are evaluated on every task start, which in a large
 //! simulation means millions of evaluations. Folding constant subtrees once
-//! at parse time removes most of that cost for mostly-constant models; the
-//! `expr` criterion bench quantifies the effect (one of the design-choice
-//! ablations listed in DESIGN.md).
+//! at parse time removes most of that cost for mostly-constant models (one
+//! of the design-choice ablations listed in DESIGN.md §4).
 
 use crate::ast::Expr;
 use crate::eval::Context;
