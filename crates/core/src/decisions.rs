@@ -135,6 +135,9 @@ impl DecisionCtx<'_> {
             .ok_or_else(|| format!("kill: unknown job {id}"))?;
         match rt.state {
             RunState::Done => Err(format!("kill: {id} already done")),
+            RunState::Pending if rt.spec.submit_time > self.now => {
+                Err(format!("kill: {id} not submitted yet"))
+            }
             RunState::Pending => Ok(KillTarget::Pending),
             RunState::Running | RunState::Reconfiguring => Ok(KillTarget::Active),
         }
@@ -206,7 +209,9 @@ mod tests {
 
     #[test]
     fn kill_distinguishes_pending_from_done() {
-        let mut jobs = table(vec![rigid(1, 1), rigid(2, 1)]);
+        let mut later = rigid(4, 1);
+        later.submit_time = 5.0;
+        let mut jobs = table(vec![rigid(1, 1), rigid(2, 1), later]);
         jobs.get_mut(&JobId(2)).unwrap().state = RunState::Done;
         let free = BTreeSet::new();
         let outcomes = HashMap::new();
@@ -222,6 +227,8 @@ mod tests {
         ));
         assert!(ctx.validate_kill(JobId(2)).unwrap_err().contains("done"));
         assert!(ctx.validate_kill(JobId(3)).unwrap_err().contains("unknown"));
+        let err = ctx.validate_kill(JobId(4)).unwrap_err();
+        assert!(err.contains("not submitted"), "{err}");
     }
 
     #[test]

@@ -58,10 +58,18 @@ pub struct Simulation {
     reserved: BTreeSet<NodeId>,
     /// Nodes currently failed (out of service).
     down: BTreeSet<NodeId>,
-    /// Jobs whose `JobSubmitted` event has been emitted. Kept separate
-    /// from the DES `Submit` events so same-timestamp submissions are all
-    /// announced before any scheduler invocation can start them.
-    announced: BTreeSet<JobId>,
+    /// Every job's (submit time, id), ascending; the first `next_submit`
+    /// have had their `JobSubmitted` event emitted. Kept separate from the
+    /// DES `Submit` events so same-timestamp submissions are all announced
+    /// before any scheduler invocation can start them.
+    submit_order: Vec<(f64, JobId)>,
+    next_submit: usize,
+    /// Announced jobs that are not `Done`: all a scheduler view can show.
+    live: BTreeSet<JobId>,
+    /// Jobs not `Done`, announced or not.
+    undone: usize,
+    /// The scheduler's view, refilled in place at every invocation.
+    view: SystemView,
     /// State of the failure process's deterministic RNG (SplitMix64).
     failure_rng: u64,
     outcomes: HashMap<JobId, (Outcome, f64)>,
@@ -125,7 +133,22 @@ impl Simulation {
             sim.schedule_at(Time::from_secs(spec.submit_time), Ev::Submit(spec.id));
             jobs.insert(spec.id, JobRuntime::new(spec));
         }
+        // Equal submit times go by id (`partial_cmp`, unlike `total_cmp`,
+        // ranks -0.0 with 0.0), so each announced batch is in id order.
+        let mut submit_order: Vec<(f64, JobId)> = jobs
+            .values()
+            .map(|rt| (rt.spec.submit_time, rt.spec.id))
+            .collect();
+        submit_order
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("validated submit times are finite"));
+        let undone = jobs.len();
         let free: BTreeSet<NodeId> = platform.node_ids().collect();
+        let view = SystemView {
+            now: 0.0,
+            total_nodes: platform.num_nodes(),
+            free_nodes: Vec::new(),
+            jobs: Vec::new(),
+        };
         let failure_rng = cfg.failures.map(|f| f.seed).unwrap_or(0);
         let bus = EventBus::new(cfg.record_gantt);
         Ok(Simulation {
@@ -138,7 +161,11 @@ impl Simulation {
             free,
             reserved: BTreeSet::new(),
             down: BTreeSet::new(),
-            announced: BTreeSet::new(),
+            submit_order,
+            next_submit: 0,
+            live: BTreeSet::new(),
+            undone,
+            view,
             failure_rng,
             outcomes: HashMap::new(),
             fatal: None,
@@ -234,10 +261,12 @@ impl Simulation {
                 Ev::Tick => {
                     self.tick_pending = false;
                     let applied = self.invoke_scheduler(now, Invocation::Periodic);
-                    let anything_running = self
-                        .jobs
-                        .values()
-                        .any(|j| matches!(j.state, RunState::Running | RunState::Reconfiguring));
+                    let anything_running = self.live.iter().any(|id| {
+                        matches!(
+                            self.jobs[id].state,
+                            RunState::Running | RunState::Reconfiguring
+                        )
+                    });
                     if applied == 0 && !anything_running && self.all_submitted(now) {
                         // Nothing running, nothing started: the scheduler is
                         // not going to make progress by being asked again.
@@ -247,7 +276,11 @@ impl Simulation {
                     }
                     if self.idle_ticks < 2 {
                         self.ensure_tick(now);
-                    } else if self.jobs.values().any(|j| j.state == RunState::Pending) {
+                    } else if self
+                        .live
+                        .iter()
+                        .any(|id| self.jobs[id].state == RunState::Pending)
+                    {
                         self.bus.emit(SimEvent::Warning {
                             time: now,
                             job: None,
@@ -310,68 +343,82 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn all_submitted(&self, now: f64) -> bool {
-        self.jobs.values().all(|j| j.spec.submit_time <= now)
+        self.submit_order.last().is_none_or(|&(t, _)| t <= now)
     }
 
     /// Emits `JobSubmitted` for every job whose submit time has been
     /// reached but which has not been announced yet, in id order. The
     /// scheduler view exposes all due jobs at once, so without this a
     /// same-timestamp sibling could be started before its own submission
-    /// event fired, making the observed stream non-causal.
+    /// event fired, making the observed stream non-causal. A job whose
+    /// dependency already failed is cancelled right after its submission.
     fn announce_submissions(&mut self, now: f64) {
-        let due: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|rt| rt.spec.submit_time <= now && !self.announced.contains(&rt.spec.id))
-            .map(|rt| rt.spec.id)
-            .collect();
-        for id in due {
-            self.announced.insert(id);
+        let first = self.next_submit;
+        while let Some(&(t, _)) = self.submit_order.get(self.next_submit) {
+            if t > now {
+                break;
+            }
+            self.next_submit += 1;
+        }
+        // Every `Submit` event announces its own job at the latest, so a
+        // batch holds the jobs of one submit time, already in id order.
+        let due = &self.submit_order[first..self.next_submit];
+        debug_assert!(due.windows(2).all(|w| w[0].1 < w[1].1), "{due:?}");
+        let mut doomed = false;
+        for &(_, id) in due {
+            self.live.insert(id);
+            doomed |= dependency_failed(&self.jobs[&id], &self.outcomes);
             self.bus.emit(SimEvent::JobSubmitted { time: now, job: id });
+        }
+        if doomed {
+            self.cascade_dependency_failures(now);
         }
     }
 
-    /// Cancels every pending job that (transitively) depends on a job that
-    /// ended unsuccessfully — `afterok` semantics.
+    /// Cancels every announced pending job that (transitively) depends on
+    /// a job that ended unsuccessfully — `afterok` semantics. Jobs not yet
+    /// submitted are left alone; they are cancelled on submission.
     fn cascade_dependency_failures(&mut self, now: f64) {
         self.announce_submissions(now);
         loop {
             let doomed: Vec<JobId> = self
-                .jobs
-                .values()
-                .filter(|rt| rt.state == RunState::Pending)
-                .filter(|rt| {
-                    rt.spec.dependencies.iter().any(|dep| {
-                        matches!(
-                            self.outcomes.get(dep),
-                            Some((o, _)) if *o != Outcome::Completed
-                        )
-                    })
+                .live
+                .iter()
+                .copied()
+                .filter(|id| {
+                    let rt = &self.jobs[id];
+                    rt.state == RunState::Pending && dependency_failed(rt, &self.outcomes)
                 })
-                .map(|rt| rt.spec.id)
                 .collect();
             if doomed.is_empty() {
                 return;
             }
             for id in doomed {
-                let rt = self.jobs.get_mut(&id).expect("doomed job exists");
-                rt.state = RunState::Done;
-                rt.epoch += 1;
-                self.outcomes.insert(id, (Outcome::Killed, now));
                 self.bus.emit(SimEvent::Warning {
                     time: now,
                     job: Some(id),
                     kind: WarningKind::DependencyCancelled,
                     message: format!("{id}: cancelled, a dependency did not complete"),
                 });
-                self.bus.emit(SimEvent::JobCompleted {
-                    time: now,
-                    job: id,
-                    outcome: Outcome::Killed,
-                    released: Vec::new(),
-                });
+                self.cancel_pending(id, now);
             }
         }
+    }
+
+    /// Removes a queued job from the system as `Killed`.
+    fn cancel_pending(&mut self, id: JobId, now: f64) {
+        let rt = self.jobs.get_mut(&id).expect("cancelled job exists");
+        rt.state = RunState::Done;
+        rt.epoch += 1;
+        self.live.remove(&id);
+        self.undone -= 1;
+        self.outcomes.insert(id, (Outcome::Killed, now));
+        self.bus.emit(SimEvent::JobCompleted {
+            time: now,
+            job: id,
+            outcome: Outcome::Killed,
+            released: Vec::new(),
+        });
     }
 
     fn handle_unit(&mut self, id: JobId, now: f64) {
@@ -531,7 +578,7 @@ impl Simulation {
         let Some(model) = self.cfg.failures else {
             return;
         };
-        if !self.jobs.values().any(|j| j.state != RunState::Done) {
+        if self.undone == 0 {
             return; // don't keep an idle simulation alive
         }
         let rate = self.platform.num_nodes() as f64 / model.node_mtbf;
@@ -570,15 +617,12 @@ impl Simulation {
             } else if self.reserved.contains(&victim) {
                 // Reserved for a pending expansion: cancel that reconfig so
                 // the job never receives a dead node.
-                let owner = self
-                    .jobs
-                    .values()
-                    .find(|rt| {
-                        rt.pending_reconfig
-                            .as_ref()
-                            .is_some_and(|nodes| nodes.contains(&victim))
-                    })
-                    .map(|rt| rt.spec.id);
+                let owner = self.live.iter().copied().find(|id| {
+                    self.jobs[id]
+                        .pending_reconfig
+                        .as_ref()
+                        .is_some_and(|nodes| nodes.contains(&victim))
+                });
                 if let Some(id) = owner {
                     let rt = self.jobs.get_mut(&id).expect("owner exists");
                     let nodes = rt.pending_reconfig.take().expect("checked");
@@ -598,14 +642,11 @@ impl Simulation {
                 }
             } else {
                 // Allocated: the job dies with the node.
-                let owner = self
-                    .jobs
-                    .values()
-                    .find(|rt| {
-                        matches!(rt.state, RunState::Running | RunState::Reconfiguring)
-                            && rt.alloc.contains(&victim)
-                    })
-                    .map(|rt| rt.spec.id);
+                let owner = self.live.iter().copied().find(|id| {
+                    let rt = &self.jobs[id];
+                    matches!(rt.state, RunState::Running | RunState::Reconfiguring)
+                        && rt.alloc.contains(&victim)
+                });
                 if let Some(id) = owner {
                     self.bus.emit(SimEvent::Warning {
                         time: now,
@@ -722,6 +763,8 @@ impl Simulation {
         let released = std::mem::take(&mut rt.alloc);
         let pending = rt.pending_reconfig.take();
         rt.state = RunState::Done;
+        self.live.remove(&id);
+        self.undone -= 1;
         self.outcomes.insert(id, (outcome, now));
 
         for &node in &released {
@@ -751,8 +794,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn ensure_tick(&mut self, now: f64) {
-        let work_remains = self.jobs.values().any(|j| j.state != RunState::Done);
-        if !self.tick_pending && work_remains {
+        if !self.tick_pending && self.undone > 0 {
             self.tick_pending = true;
             self.sim.schedule_at(
                 Time::from_secs(now + self.cfg.scheduling_interval),
@@ -761,26 +803,45 @@ impl Simulation {
         }
     }
 
-    fn build_view(&self, now: f64) -> SystemView {
-        let mut jobs = Vec::new();
-        for rt in self.jobs.values() {
+    /// Refills `self.view` from the live jobs and the free pool. Slots
+    /// are overwritten in place, so the view's buffers, each running
+    /// job's node list included, are reused from one invocation to the
+    /// next.
+    fn refresh_view(&mut self, now: f64) {
+        let view = &mut self.view;
+        view.now = now;
+        view.free_nodes.clear();
+        view.free_nodes.extend(self.free.iter().copied());
+        let mut len = 0;
+        for id in &self.live {
+            let rt = &self.jobs[id];
             let state = match rt.state {
-                RunState::Pending
-                    if rt.spec.submit_time <= now && deps_satisfied(rt, &self.outcomes) =>
-                {
-                    JobState::Pending
+                RunState::Pending if deps_satisfied(rt, &self.outcomes) => JobState::Pending,
+                RunState::Running | RunState::Reconfiguring => {
+                    // Take over the node buffer of the running job this
+                    // slot held last time, if any.
+                    let old = view
+                        .jobs
+                        .get_mut(len)
+                        .map(|j| std::mem::replace(&mut j.state, JobState::Pending));
+                    let mut nodes = match old {
+                        Some(JobState::Running(info)) => info.nodes,
+                        _ => Vec::new(),
+                    };
+                    nodes.clear();
+                    nodes.extend_from_slice(&rt.alloc);
+                    JobState::Running(JobRunInfo {
+                        nodes,
+                        start_time: rt.start_time.unwrap_or(now),
+                        reconfig_pending: rt.pending_reconfig.is_some()
+                            || rt.state == RunState::Reconfiguring,
+                        progress: rt.progress(),
+                    })
                 }
-                RunState::Running | RunState::Reconfiguring => JobState::Running(JobRunInfo {
-                    nodes: rt.alloc.clone(),
-                    start_time: rt.start_time.unwrap_or(now),
-                    reconfig_pending: rt.pending_reconfig.is_some()
-                        || rt.state == RunState::Reconfiguring,
-                    progress: rt.progress(),
-                }),
                 _ => continue,
             };
-            jobs.push(JobView {
-                id: rt.spec.id,
+            let job = JobView {
+                id: *id,
                 class: rt.spec.class,
                 state,
                 submit_time: rt.spec.submit_time,
@@ -789,14 +850,14 @@ impl Simulation {
                 walltime: rt.spec.walltime,
                 evolving_request: rt.evolving_desired.map(|(n, _)| n),
                 fixed_start: rt.spec.user_fixed_start(),
-            });
+            };
+            match view.jobs.get_mut(len) {
+                Some(slot) => *slot = job,
+                None => view.jobs.push(job),
+            }
+            len += 1;
         }
-        SystemView {
-            now,
-            total_nodes: self.platform.num_nodes(),
-            free_nodes: self.free.iter().copied().collect(),
-            jobs,
-        }
+        view.jobs.truncate(len);
     }
 
     /// Invokes the scheduler through the driver and applies its decisions.
@@ -818,8 +879,8 @@ impl Simulation {
         let mut applied = 0;
         let mut pending = vec![why];
         while let Some(why) = pending.pop() {
-            let view = self.build_view(now);
-            let decisions = match self.driver.invoke(now, &view, why) {
+            self.refresh_view(now);
+            let decisions = match self.driver.invoke(now, &self.view, why) {
                 Ok(decisions) => decisions,
                 Err(e) => {
                     self.fatal = Some(e);
@@ -863,16 +924,7 @@ impl Simulation {
                 let target = self.decision_ctx(now).validate_kill(job)?;
                 match target {
                     KillTarget::Pending => {
-                        let rt = self.jobs.get_mut(&job).unwrap();
-                        rt.state = RunState::Done;
-                        rt.epoch += 1;
-                        self.outcomes.insert(job, (Outcome::Killed, now));
-                        self.bus.emit(SimEvent::JobCompleted {
-                            time: now,
-                            job,
-                            outcome: Outcome::Killed,
-                            released: Vec::new(),
-                        });
+                        self.cancel_pending(job, now);
                         self.cascade_dependency_failures(now);
                     }
                     KillTarget::Active => {
@@ -977,6 +1029,14 @@ impl Simulation {
             total_nodes: self.platform.num_nodes(),
         })
     }
+}
+
+/// Whether some `afterok` dependency of the job ended unsuccessfully.
+fn dependency_failed(rt: &JobRuntime, outcomes: &HashMap<JobId, (Outcome, f64)>) -> bool {
+    rt.spec
+        .dependencies
+        .iter()
+        .any(|dep| matches!(outcomes.get(dep), Some((o, _)) if *o != Outcome::Completed))
 }
 
 // A whole simulation run is a unit of work the campaign executor moves

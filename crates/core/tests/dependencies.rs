@@ -1,7 +1,7 @@
 //! Job-dependency (workflow) semantics through the engine: `afterok`
 //! gating, chain/diamond ordering, and failure cascades.
 
-use elastisim::{Outcome, SimConfig, Simulation};
+use elastisim::{InvariantChecker, Outcome, SimConfig, Simulation};
 use elastisim_platform::{NodeSpec, PlatformSpec};
 use elastisim_sched::EasyBackfilling;
 use elastisim_workload::{ApplicationModel, JobId, JobSpec, PerfExpr, Phase, Task};
@@ -113,4 +113,37 @@ fn dependency_on_later_submitted_job_is_honoured() {
     let j1 = report.job(JobId(1)).unwrap();
     assert!(j1.start.unwrap() >= 60.0 - 1e-9, "start {:?}", j1.start);
     assert_eq!(report.summary().completed, 2);
+}
+
+#[test]
+fn dependent_submitted_after_its_dependency_failed_is_cancelled_on_submission() {
+    // j0 dies at t=5; j1 depends on it but only arrives at t=100, and j2
+    // (arriving at t=50) waits on j1.
+    let jobs = vec![
+        JobSpec::rigid(0, 0.0, 1, app(100.0)).with_walltime(5.0),
+        JobSpec::rigid(1, 100.0, 1, app(5.0)).with_dependencies([0]),
+        JobSpec::rigid(2, 50.0, 1, app(5.0)).with_dependencies([1]),
+    ];
+    let checker = InvariantChecker::new(&jobs, 8);
+    let mut sim = Simulation::new(
+        &platform(8),
+        jobs,
+        Box::new(EasyBackfilling::new()),
+        SimConfig::default(),
+    )
+    .unwrap();
+    sim.add_observer(checker.observer());
+    let report = sim.run();
+    checker.assert_clean(&report);
+    let j1 = report.job(JobId(1)).unwrap();
+    assert_eq!(j1.outcome, Outcome::Killed);
+    assert_eq!(j1.start, None);
+    assert_eq!(
+        j1.end,
+        Some(j1.submit),
+        "cancelled when submitted, not before"
+    );
+    let j2 = report.job(JobId(2)).unwrap();
+    assert_eq!(j2.outcome, Outcome::Killed);
+    assert_eq!(j2.end, Some(100.0), "cancelled once j1 is");
 }

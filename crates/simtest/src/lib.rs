@@ -19,14 +19,19 @@
 //!    results, across schedulers and across transports; golden snapshots
 //!    pin one canonical run per scheduler (see `tests/golden.rs`,
 //!    regenerate with `UPDATE_GOLDEN=1`).
+//! 4. **View oracle** — [`ViewOracle`] rebuilds the queued and running
+//!    job sets, and each running job's nodes, from the event stream and
+//!    checks them against every [`SystemView`] the scheduler is shown.
 //!
 //! The deliberately broken [`OverAllocatingScheduler`] is the harness's
 //! self-test: a mutant that hands out nodes it does not have, which the
 //! engine must reject and the invariant checker must catch when its
 //! corrupted stream is replayed directly.
 
+pub mod oracle;
 pub mod scenario;
 
+pub use oracle::ViewOracle;
 pub use scenario::{ConformanceRun, Scenario};
 
 use elastisim_platform::NodeId;

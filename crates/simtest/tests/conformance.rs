@@ -15,7 +15,7 @@ use elastisim_workload::{
     AppTemplate, ArrivalProcess, ClassMix, Distribution, JobId, SizeDistribution, WorkloadConfig,
 };
 use proptest::prelude::*;
-use simtest::{fingerprint, scenario::run_checked, OverAllocatingScheduler, Scenario};
+use simtest::{fingerprint, scenario::run_checked, OverAllocatingScheduler, Scenario, ViewOracle};
 
 /// Fuzz case count: `PROPTEST_CASES` if set, else 40 (× 5 schedulers =
 /// 200 checked scenarios per default run).
@@ -66,6 +66,33 @@ proptest! {
             let a = fingerprint(&run_checked(&scenario, name).report);
             let b = fingerprint(&run_checked(&scenario, name).report);
             prop_assert!(a == b, "seed {seed} under `{name}`: reports differ");
+        }
+    }
+
+    /// The engine's scheduler view agrees, at every invocation, with the
+    /// queued and running sets (and each running job's nodes) rebuilt
+    /// independently from the event stream.
+    #[test]
+    fn views_match_the_event_stream_for_every_scheduler(raw in any::<u64>()) {
+        let seed = raw ^ seed_offset();
+        let scenario = Scenario::from_seed(seed);
+        for name in SCHEDULER_NAMES {
+            let jobs = scenario.jobs();
+            let oracle = ViewOracle::new(&jobs);
+            let sched = elastisim_sched::by_name(name).expect("registered scheduler");
+            let mut sim =
+                Simulation::new(&scenario.platform(), jobs, oracle.wrap(sched), scenario.config())
+                    .expect("valid scenario");
+            sim.add_observer(oracle.observer());
+            sim.run();
+            let mismatches = oracle.mismatches();
+            prop_assert!(oracle.checked() > 0, "seed {seed} under `{name}`: never invoked");
+            prop_assert!(
+                mismatches.is_empty(),
+                "seed {seed} under `{name}`: {} mismatching view(s), first: {}",
+                mismatches.len(),
+                mismatches[0],
+            );
         }
     }
 }

@@ -20,13 +20,14 @@
 //! beyond the public workload + core APIs.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use elastisim::{
     InvariantChecker, InvariantViolation, ReconfigCost, Report, SimConfig, Simulation,
 };
 use elastisim_platform::{NodeSpec, PlatformSpec};
-use elastisim_sched::SCHEDULER_NAMES;
-use elastisim_workload::{convert_stream, InjectionConfig, ScalingModel};
+use elastisim_sched::{Decision, Invocation, JobState, Scheduler, SystemView, SCHEDULER_NAMES};
+use elastisim_workload::{convert_stream, InjectionConfig, JobSpec, ScalingModel};
 use simtest::{assert_matches_golden, fingerprint};
 
 fn fixture_text() -> String {
@@ -71,6 +72,20 @@ fn run_replay(
     scheduler: &str,
     config: SimConfig,
 ) -> (Report, Vec<InvariantViolation>) {
+    let (jobs, platform) = replay_workload(trace, cfg);
+    let checker = InvariantChecker::new(&jobs, platform.nodes.len());
+    let sched = elastisim_sched::by_name(scheduler)
+        .unwrap_or_else(|| panic!("unknown scheduler `{scheduler}`"));
+    let mut sim =
+        Simulation::new(&platform, jobs, sched, config).expect("replay scenario must be valid");
+    sim.add_observer(checker.observer());
+    let report = sim.run();
+    let violations = checker.check_report(&report);
+    (report, violations)
+}
+
+/// Converts `trace` into the replayed workload and its platform.
+fn replay_workload(trace: &str, cfg: &InjectionConfig) -> (Vec<JobSpec>, PlatformSpec) {
     let node_flops = NodeSpec::default().flops;
     let (jobs, stats) =
         convert_stream(trace.as_bytes(), node_flops, 1, cfg).expect("fixture converts cleanly");
@@ -82,15 +97,7 @@ fn run_replay(
             ..NodeSpec::default()
         },
     );
-    let checker = InvariantChecker::new(&jobs, platform.nodes.len());
-    let sched = elastisim_sched::by_name(scheduler)
-        .unwrap_or_else(|| panic!("unknown scheduler `{scheduler}`"));
-    let mut sim =
-        Simulation::new(&platform, jobs, sched, config).expect("replay scenario must be valid");
-    sim.add_observer(checker.observer());
-    let report = sim.run();
-    let violations = checker.check_report(&report);
-    (report, violations)
+    (jobs, platform)
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -141,6 +148,100 @@ fn excerpt_replay_matches_golden_snapshots() {
         );
         assert_matches_golden(&golden_path(name), &golden_payload(&report));
     }
+}
+
+/// FNV-1a taken a 64-bit word per step instead of a byte: the running
+/// hash of every view a [`ViewDigest`] is shown.
+struct WordHash(u64);
+
+impl WordHash {
+    fn word(&mut self, w: u64) {
+        self.0 ^= w;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn opt(&mut self, w: Option<u64>) {
+        self.word(w.map_or(u64::MAX, |w| w.wrapping_add(1)));
+    }
+
+    fn view(&mut self, view: &SystemView) {
+        self.word(view.now.to_bits());
+        self.word(view.total_nodes as u64);
+        self.word(view.free_nodes.len() as u64);
+        for node in &view.free_nodes {
+            self.word(u64::from(node.0));
+        }
+        self.word(view.jobs.len() as u64);
+        for job in &view.jobs {
+            self.word(job.id.0);
+            self.word(job.class as u64);
+            self.word(job.submit_time.to_bits());
+            self.word(u64::from(job.min_nodes));
+            self.word(u64::from(job.max_nodes));
+            self.opt(job.walltime.map(f64::to_bits));
+            self.opt(job.evolving_request.map(u64::from));
+            self.opt(job.fixed_start.map(u64::from));
+            match &job.state {
+                JobState::Pending => self.word(0),
+                JobState::Running(info) => {
+                    self.word(1);
+                    self.word(info.start_time.to_bits());
+                    self.word(u64::from(info.reconfig_pending));
+                    self.word(info.progress.to_bits());
+                    self.word(info.nodes.len() as u64);
+                    for node in &info.nodes {
+                        self.word(u64::from(node.0));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Wraps a scheduler and hashes every [`SystemView`] it receives, in
+/// order, into a shared digest.
+struct ViewDigest {
+    inner: Box<dyn Scheduler>,
+    hash: Arc<Mutex<WordHash>>,
+}
+
+impl Scheduler for ViewDigest {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, view: &SystemView, why: Invocation) -> Vec<Decision> {
+        self.hash.lock().unwrap().view(view);
+        self.inner.schedule(view, why)
+    }
+}
+
+/// Pins the exact stream of views the engine shows each scheduler on the
+/// full excerpt (frac 0.3, seed 42): every job's id, state, allocation,
+/// progress, every free node and every `now`, per invocation. The
+/// literal was recorded before the engine switched to its live-set view,
+/// so any change to what a scheduler sees, or when, moves it.
+#[test]
+fn excerpt_view_stream_matches_recorded_digest() {
+    let (jobs, platform) = replay_workload(&fixture_text(), &injection(0.3, 42));
+    let hash = Arc::new(Mutex::new(WordHash(0xcbf2_9ce4_8422_2325)));
+    for name in SCHEDULER_NAMES {
+        let inner = elastisim_sched::by_name(name).expect("registered scheduler");
+        let recorder = ViewDigest {
+            inner,
+            hash: Arc::clone(&hash),
+        };
+        Simulation::new(
+            &platform,
+            jobs.clone(),
+            Box::new(recorder),
+            SimConfig::default(),
+        )
+        .expect("replay scenario must be valid")
+        .run();
+    }
+    let digest = hash.lock().unwrap().0;
+    assert_eq!(format!("{digest:016x}"), "82ab93ca14f9aee2");
 }
 
 /// The excerpt replay must still distinguish the policies, otherwise the
