@@ -22,7 +22,7 @@ pub struct CachedRun {
 }
 
 /// Thread-safe scenario-fingerprint → report cache, shared by every
-/// worker of an executor (and across campaigns inside `elastisim serve`).
+/// worker of an executor and kept across its campaigns.
 ///
 /// Failed runs are never cached: errors and panics must re-execute on
 /// resubmission so transient causes can clear.

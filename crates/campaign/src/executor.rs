@@ -259,8 +259,8 @@ fn derived_metrics<'a>(records: impl Iterator<Item = &'a RunRecord>) -> MetricsS
 /// The pool is per-call: [`run_with`](Executor::run_with) spawns its
 /// workers, drains the queue, joins them, and returns — no detached
 /// threads outlive the call. The [`ResultCache`] *does* persist across
-/// calls (and can be shared across executors), which is how
-/// `elastisim serve` answers repeated campaigns without re-executing.
+/// calls, so resubmitting a scenario to the same executor answers it
+/// from cache without re-executing.
 pub struct Executor {
     workers: usize,
     cache: Arc<ResultCache>,
@@ -278,22 +278,11 @@ impl Executor {
         }
     }
 
-    /// Replaces the cache with a shared one.
-    pub fn with_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// Enables observability (logging / per-run metrics / flight
     /// recorder) for every campaign this executor runs.
     pub fn with_observability(mut self, obs: Observability) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// The executor's observability options.
-    pub fn observability(&self) -> &Observability {
-        &self.obs
     }
 
     /// The executor's result cache.

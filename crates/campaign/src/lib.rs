@@ -9,16 +9,16 @@
 //! - [`RunSpec`] ([`spec`]): an immutable scenario *specification*
 //!   (platform + workload + config + scheduler behind `Arc`s), split
 //!   from run *state*, with a canonical [`fingerprint`](RunSpec::fingerprint)
-//!   over every result-affecting input.
+//!   over every result-affecting input. [`campaign_specs`] expands a
+//!   [`SeedRange`] × scheduler list into specs for `elastisim sweep`.
 //! - [`ResultCache`] ([`cache`]): a fingerprint-keyed report cache. The
 //!   determinism oracles make this sound: equal fingerprints mean equal
 //!   inputs mean byte-identical reports.
 //! - [`Executor`] ([`executor`]): a work-queue thread pool that runs
 //!   specs concurrently and merges [`RunRecord`]s id-ordered, so merged
 //!   output is byte-identical at any worker count.
-//! - [`protocol`]/[`serve()`]: the JSON-lines wire protocol and daemon
-//!   loop behind `elastisim serve`, streaming progress and answering
-//!   repeated campaigns from cache.
+//! - [`ReplayCampaign`] ([`replay`]): the SWF trace-replay campaign
+//!   behind `elastisim replay`, with its own fingerprints.
 //!
 //! ```
 //! use elastisim_campaign::{Executor, RunSpec};
@@ -35,9 +35,7 @@
 
 pub mod cache;
 pub mod executor;
-pub mod protocol;
 pub mod replay;
-pub mod serve;
 pub mod spec;
 
 pub use cache::{CachedRun, ResultCache};
@@ -46,5 +44,4 @@ pub use executor::{
     RunError, RunOutcome, RunRecord, SchedulerAggregate,
 };
 pub use replay::{combined_fingerprint, ReplayCampaign, ReplaySpec};
-pub use serve::{campaign_specs, serve, ServeOptions, ServeStats};
-pub use spec::{RunSpec, SchedulerSpec};
+pub use spec::{campaign_specs, RunSpec, SchedulerSpec, SeedRange};

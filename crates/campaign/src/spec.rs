@@ -165,6 +165,64 @@ impl RunSpec {
     }
 }
 
+/// Half-open seed range `[start, end)` for campaign fan-out.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SeedRange {
+    /// First seed, inclusive.
+    pub start: u64,
+    /// End seed, exclusive.
+    pub end: u64,
+}
+
+impl SeedRange {
+    /// Number of seeds in the range.
+    pub fn len(&self) -> u64 {
+        self.end.saturating_sub(self.start)
+    }
+
+    /// Whether the range is empty.
+    pub fn is_empty(&self) -> bool {
+        self.end <= self.start
+    }
+
+    /// The seeds, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u64> {
+        self.start..self.end
+    }
+}
+
+/// Expands seeds × schedulers into id-ordered specs over the conformance
+/// corpus: the seed range is the outer loop, schedulers the inner, so run
+/// ids (and the merged output) are stable regardless of worker count.
+pub fn campaign_specs(seeds: SeedRange, schedulers: &[String]) -> Result<Vec<RunSpec>, String> {
+    if seeds.is_empty() {
+        return Err(format!(
+            "empty seed range {}..{} (end is exclusive)",
+            seeds.start, seeds.end
+        ));
+    }
+    if schedulers.is_empty() {
+        return Err("no schedulers requested".into());
+    }
+    for name in schedulers {
+        if elastisim_sched::by_name(name).is_none() {
+            return Err(format!(
+                "unknown scheduler `{name}` (known: {})",
+                elastisim_sched::SCHEDULER_NAMES.join(", ")
+            ));
+        }
+    }
+    let mut specs = Vec::with_capacity((seeds.len() as usize) * schedulers.len());
+    let mut id = 0u64;
+    for seed in seeds.iter() {
+        for scheduler in schedulers {
+            specs.push(RunSpec::from_seed(id, seed, scheduler));
+            id += 1;
+        }
+    }
+    Ok(specs)
+}
+
 /// Serializes the result-affecting `SimConfig` fields in a fixed order.
 /// `progress` is deliberately excluded: the stderr heartbeat never
 /// influences the report, so configs differing only in it must share a
@@ -243,9 +301,9 @@ mod tests {
 
     #[test]
     fn fingerprint_is_pinned() {
-        // Fingerprints appear in `--records` files and key a daemon's
-        // result cache, so this literal may change only with a deliberate
-        // bump of the `sfp1` format version.
+        // Fingerprints appear in `--records` files and key the result
+        // cache, so this literal may change only with a deliberate bump
+        // of the `sfp1` format version.
         assert_eq!(
             RunSpec::from_seed(0, 7, "fcfs").fingerprint(),
             "sfp1-4becc073404b322b2c67b83fc998a13a"
@@ -310,5 +368,20 @@ mod tests {
             RunSpec::from_seed(0, 7, "fcfs").fingerprint()
         );
         spec.build().expect("custom factory builds");
+    }
+
+    #[test]
+    fn seed_range_is_half_open() {
+        let range = SeedRange { start: 3, end: 6 };
+        assert_eq!(range.len(), 3);
+        assert_eq!(range.iter().collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert!(SeedRange { start: 6, end: 6 }.is_empty());
+        assert_eq!(SeedRange { start: 9, end: 2 }.len(), 0);
+    }
+
+    #[test]
+    fn empty_inputs_are_rejected() {
+        assert!(campaign_specs(SeedRange { start: 2, end: 2 }, &["fcfs".into()]).is_err());
+        assert!(campaign_specs(SeedRange { start: 0, end: 1 }, &[]).is_err());
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use elastisim_campaign::{Executor, ResultCache, RunError, RunSpec, SchedulerSpec};
+use elastisim_campaign::{Executor, RunError, RunSpec, SchedulerSpec};
 
 fn corpus(seeds: std::ops::Range<u64>, schedulers: &[&str]) -> Vec<RunSpec> {
     let mut specs = Vec::new();
@@ -43,9 +43,9 @@ fn merged_fingerprints_are_worker_count_independent() {
     }
 }
 
-/// Resubmitting a campaign against a shared cache answers every run
-/// byte-identically *without re-running*: a build counter inside a
-/// custom scheduler factory proves no scenario was reconstructed.
+/// Resubmitting a campaign to the same executor answers every run from
+/// its cache byte-identically *without re-running*: a build counter
+/// inside a custom scheduler factory proves no scenario was reconstructed.
 #[test]
 fn cache_hits_are_byte_identical_and_skip_execution() {
     let builds = Arc::new(AtomicUsize::new(0));
@@ -66,8 +66,7 @@ fn cache_hits_are_byte_identical_and_skip_execution() {
             })
             .collect()
     };
-    let cache = Arc::new(ResultCache::new());
-    let executor = Executor::new(2).with_cache(Arc::clone(&cache));
+    let executor = Executor::new(2);
 
     let first = executor.run(specs(&builds));
     assert_eq!(builds.load(Ordering::SeqCst), 4);
@@ -80,7 +79,7 @@ fn cache_hits_are_byte_identical_and_skip_execution() {
         "cache hits must not rebuild schedulers"
     );
     assert!(second.iter().all(|r| r.cached));
-    assert_eq!(cache.hits(), 4);
+    assert_eq!(executor.cache().hits(), 4);
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.scenario_fingerprint, b.scenario_fingerprint);

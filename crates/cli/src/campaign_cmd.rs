@@ -1,22 +1,20 @@
-//! The campaign-facing subcommands: `elastisim sweep` (sharded fan-out
-//! over the conformance seed corpus) and `elastisim serve` (the
-//! long-running JSON-lines daemon).
+//! `elastisim sweep` (sharded fan-out over the conformance seed corpus)
+//! and the campaign glue it shares with `elastisim replay`.
 
 use std::fs;
 use std::path::PathBuf;
 
-use elastisim_campaign::protocol::SeedRange;
 use elastisim_campaign::{
-    aggregate_by_scheduler, campaign_specs, serve, CampaignEvent, CampaignResult, Executor,
-    Observability, RecorderConfig, RunRecord, RunSpec, ServeOptions,
+    aggregate_by_scheduler, campaign_specs, CampaignEvent, CampaignResult, Executor, Observability,
+    RecorderConfig, RunRecord, RunSpec, SeedRange,
 };
 use elastisim_telemetry::{prom, MetricsSnapshot};
 
 use crate::args::{Args, UsageError};
 use crate::commands::CliError;
 
-/// Builds the executor observability options shared by `sweep`, `serve`,
-/// and `replay`: `--log-json PATH` opens a structured JSONL log (level
+/// Builds the executor observability options shared by `sweep` and
+/// `replay`: `--log-json PATH` opens a structured JSONL log (level
 /// from `ELASTISIM_LOG_LEVEL`, default info; falling back to the
 /// `ELASTISIM_LOG` env pair when the flag is absent), `--flight-recorder
 /// DIR` arms the post-mortem ring buffer, and `collect_metrics` is set
@@ -80,8 +78,7 @@ pub fn parse_seed_range(s: &str) -> Result<SeedRange, UsageError> {
     }
 }
 
-/// Parses `--workers N` (default 1), shared by `sweep`, `serve` and
-/// `replay`.
+/// Parses `--workers N` (default 1), shared by `sweep` and `replay`.
 pub(crate) fn parse_workers(args: &Args) -> Result<usize, UsageError> {
     let workers = args.int("workers", 1)? as usize;
     if workers == 0 {
@@ -152,8 +149,7 @@ pub(crate) fn fail_on_errors(records: &[RunRecord], output: String) -> Result<St
 }
 
 /// One JSONL record per run, written by `sweep --records` and
-/// `replay --records`. Schema keys sorted to match the streamed
-/// `run_finished` protocol message where they overlap.
+/// `replay --records`, with a fixed key order.
 fn record_json(record: &RunRecord) -> String {
     use std::fmt::Write as _;
     let mut line = String::from("{");
@@ -273,34 +269,6 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         if cache.len() == 1 { "y" } else { "ies" },
     ));
     fail_on_errors(&records, table)
-}
-
-/// `elastisim serve`: the stdin/stdout campaign daemon. Blocks until
-/// stdin closes or a `shutdown` command arrives.
-pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "workers",
-        "metrics-out",
-        "prom-out",
-        "log-json",
-        "flight-recorder",
-    ])?;
-    let opts = ServeOptions {
-        workers: parse_workers(args)?,
-        observability: observability_from_args(args, true)?,
-        metrics_out: args.get("metrics-out").map(PathBuf::from),
-        prom_out: args.get("prom-out").map(PathBuf::from),
-    };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let stats =
-        serve(stdin.lock(), stdout.lock(), &opts).map_err(|e| CliError::Io("stdout".into(), e))?;
-    Ok(format!(
-        "served {} campaign{} ({} runs)",
-        stats.campaigns,
-        if stats.campaigns == 1 { "" } else { "s" },
-        stats.runs
-    ))
 }
 
 #[cfg(test)]
@@ -460,6 +428,20 @@ mod tests {
         expect_unknown(crate::commands::cmd_run(&run).map(|_| ()));
         let sweep = Args::parse(["sweep", "--seeds", "0..2", "--solver-threads", "2"]).unwrap();
         expect_unknown(cmd_sweep(&sweep).map(|_| ()));
+    }
+
+    #[test]
+    fn removed_serve_command_is_a_usage_error() {
+        // The campaign daemon is gone: its command must fail as unknown
+        // and no longer appear in the help text.
+        let removed = "serve";
+        match crate::commands::dispatch(&Args::parse([removed]).unwrap()) {
+            Err(CliError::Usage(e)) => {
+                assert!(e.0.contains(&format!("unknown command `{removed}`")), "{e}")
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        assert!(!crate::commands::HELP.contains(&format!("elastisim {removed}")));
     }
 
     #[test]

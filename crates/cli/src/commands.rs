@@ -94,8 +94,6 @@ USAGE:
                       [--workers N] [--records FILE] [--metrics-out FILE]
                       [--prom-out FILE] [--log-json FILE]
                       [--flight-recorder DIR] [--progress]
-  elastisim serve     [--workers N] [--metrics-out FILE] [--prom-out FILE]
-                      [--log-json FILE] [--flight-recorder DIR]
   elastisim schedulers
   elastisim help
 
@@ -141,11 +139,6 @@ summary table. Per-run records are byte-identical at any worker count.
 --records writes one JSON line per run (id, label, fingerprints,
 makespan, utilization); --progress streams per-run status to stderr.
 
-`serve` is a long-running campaign daemon speaking JSON-lines on
-stdin/stdout: one request per line in, streamed progress replies out
-(see DESIGN.md §11). Completed scenarios are cached by fingerprint, so
-resubmitting a campaign answers instantly without re-running.
-
 Observability (all commands above; see DESIGN.md §13): --log-json
 writes structured JSONL log records correlated by campaign/run ids and
 fingerprints (level via ELASTISIM_LOG_LEVEL; the ELASTISIM_LOG env var
@@ -154,10 +147,9 @@ bounded ring of each run's last simulation events and dumps a
 post-mortem JSON file into DIR when a run fails, panics, or trips the
 invariant checker. For sweep/replay, --metrics-out writes the merged
 campaign metrics snapshot (exact histogram merge across runs) and
---prom-out the same in Prometheus text exposition; serve rewrites both
-files after every campaign with lifetime daemon metrics included. All
-of these are off by default and result-neutral: reports and
-fingerprints are byte-identical with them on or off.
+--prom-out the same in Prometheus text exposition. All of these are
+off by default and result-neutral: reports and fingerprints are
+byte-identical with them on or off.
 ";
 
 /// Parses a `--reconfig-cost` value: `free`, `fixed:SECONDS`, or
@@ -585,7 +577,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "run" => cmd_run(args).map(|(_, summary)| summary),
         "replay" => crate::replay_cmd::cmd_replay(args),
         "sweep" => crate::campaign_cmd::cmd_sweep(args),
-        "serve" => crate::campaign_cmd::cmd_serve(args),
         "schedulers" => Ok(elastisim_sched::SCHEDULER_NAMES.join("\n")),
         "help" => Ok(HELP.to_string()),
         other => Err(UsageError(format!("unknown command `{other}`")).into()),

@@ -23,6 +23,6 @@ pub mod commands;
 pub mod replay_cmd;
 
 pub use args::{Args, UsageError};
-pub use campaign_cmd::{cmd_serve, cmd_sweep};
+pub use campaign_cmd::cmd_sweep;
 pub use commands::{dispatch, CliError, HELP};
 pub use replay_cmd::cmd_replay;

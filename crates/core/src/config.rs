@@ -3,15 +3,19 @@
 /// Cost model for applying a malleable/evolving reconfiguration.
 ///
 /// ElastiSim lets the platform attach a cost to resizing: the job pauses
-/// while state is redistributed. The experiments ablate this knob.
+/// while state is redistributed. [`SimConfig::default`] and every
+/// `exp_*` binary use `Fixed(5.0)`; no experiment compares the models
+/// (`--reconfig-cost` and the conformance corpus pick others).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReconfigCost {
     /// Resizing is instantaneous.
     Free,
     /// A fixed pause, seconds.
     Fixed(f64),
-    /// Every node of the *union* of old and new allocation moves this many
-    /// bytes through its NIC and the backbone (data redistribution).
+    /// Data redistribution: every node of the *new* allocation sends this
+    /// many bytes through its `nic_up` and the backbone. Nodes removed by
+    /// a shrink are freed before the transfer and send nothing, and no
+    /// receiver's `nic_down` is charged (ROADMAP item 14(a) is the fix).
     DataVolume {
         /// Bytes per participating node.
         bytes_per_node: f64,

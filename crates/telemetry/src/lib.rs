@@ -25,7 +25,7 @@
 //!    handle is `Arc<Mutex<_>>`-based. Locks are uncontended in practice
 //!    (one run owns its registry); the enabled path pays one atomic
 //!    lock/unlock per sample. Lock poisoning is deliberately forgiven —
-//!    a panicking run must not wedge a shared daemon registry.
+//!    a panicking run must not wedge a registry another thread shares.
 //!
 //! Wall-clock measurements ([`Span`], [`Telemetry::observe_since`]) use
 //! [`std::time::Instant`] and are inherently nondeterministic; they are

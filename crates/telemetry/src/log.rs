@@ -31,8 +31,8 @@
 //!
 //! Activation: the CLI's `--log-json PATH` or the `ELASTISIM_LOG=PATH`
 //! environment variable (with optional `ELASTISIM_LOG_LEVEL`, default
-//! `info`). Files are opened in append mode so a long-running daemon's
-//! log survives restarts.
+//! `info`). Files are opened in append mode so repeated invocations
+//! share one log.
 
 use std::fmt::Write as _;
 use std::fs::OpenOptions;

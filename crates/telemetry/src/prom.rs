@@ -1,9 +1,9 @@
 //! Prometheus text exposition (format v0.0.4) for [`MetricsSnapshot`].
 //!
 //! Renders a snapshot as the plain-text format every Prometheus scraper
-//! understands, so a sweep or the serve daemon can drop a `.prom` file on
-//! disk for node-exporter's textfile collector (or any sidecar) to pick
-//! up. No network code here — the writer produces a `String`; callers
+//! understands, so `sweep --prom-out` or `replay --prom-out` can drop a
+//! `.prom` file on disk for node-exporter's textfile collector (or any
+//! sidecar) to pick up. No network code here — the writer produces a `String`; callers
 //! decide where it goes.
 //!
 //! Mapping:
