@@ -360,10 +360,10 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         if !timeout.is_finite() || timeout <= 0.0 {
             return Err(UsageError("--scheduler-timeout must be > 0".into()).into());
         }
-        let transport =
+        let process =
             ExternalProcess::spawn_command_line(cmd, std::time::Duration::from_secs_f64(timeout))
                 .map_err(|e| CliError::Data(format!("spawning external scheduler: {e}")))?;
-        let sim = Simulation::with_transport(&platform, jobs, Box::new(transport), cfg)
+        let sim = Simulation::with_external(&platform, jobs, process, cfg)
             .map_err(|e| CliError::Data(e.to_string()))?;
         (sim, format!("external:{cmd}"))
     } else {

@@ -1,25 +1,24 @@
 //! The scheduler driver: the engine's handle on the scheduling algorithm.
 //!
-//! [`SchedulerDriver`] owns the [`SchedulerTransport`] (in-process trait
-//! object or external process), counts invocations, and wraps transport
-//! failures into the structured [`SimError`] that ends a run. Decision
+//! `SchedulerDriver` owns the scheduler (an in-process trait object or an
+//! [`ExternalProcess`]), counts invocations, and wraps external failures
+//! into the structured [`SimError`] that ends a run. Decision
 //! *validation* lives in the `decisions` module — it must be interleaved
 //! with application against live engine state — and every rejection is
 //! reported through the observer bus as a
 //! [`crate::observe::SimEvent::DecisionRejected`] event.
 
 use elastisim_sched::{
-    Decision, InProcessTransport, Invocation, Scheduler, SchedulerTransport, SystemView,
-    TransportError,
+    Decision, ExternalProcess, Invocation, Scheduler, SystemView, TransportError,
 };
 use elastisim_telemetry::Telemetry;
 
 /// A fatal error that ends a simulation run early.
 #[derive(Debug)]
 pub enum SimError {
-    /// The scheduler transport failed: the external process was
-    /// unresponsive (killed after the timeout), crashed, spoke an
-    /// incompatible protocol version, or an I/O error occurred.
+    /// The external scheduler failed: the process was unresponsive
+    /// (killed after the timeout), crashed, spoke an incompatible protocol
+    /// version, or an I/O error occurred.
     Scheduler {
         /// Simulated time of the failing invocation.
         time: f64,
@@ -59,57 +58,45 @@ impl std::error::Error for SimError {
     }
 }
 
-/// Owns the transport to the scheduling algorithm and mediates every
-/// invocation the engine makes.
-pub struct SchedulerDriver {
-    transport: Box<dyn SchedulerTransport>,
-    name: String,
+/// Where the scheduling algorithm runs.
+pub(crate) enum Backend {
+    /// A trait object called with the borrowed view: nothing is copied or
+    /// serialized.
+    InProcess(Box<dyn Scheduler>),
+    /// A child process spoken to in JSON lines.
+    External(ExternalProcess),
+}
+
+/// Owns the scheduling algorithm and mediates every invocation the engine
+/// makes.
+pub(crate) struct SchedulerDriver {
+    backend: Backend,
     invocations: u64,
     telemetry: Telemetry,
-    /// Per-transport-kind latency metric, resolved once at construction.
-    latency_metric: &'static str,
 }
 
 impl SchedulerDriver {
-    /// Drives any transport (e.g. [`elastisim_sched::ExternalProcess`]).
-    pub fn new(transport: Box<dyn SchedulerTransport>) -> Self {
-        let name = transport.name();
-        let latency_metric = match transport.kind() {
-            "external" => "sched.invoke.external_seconds",
-            _ => "sched.invoke.in_process_seconds",
-        };
+    pub(crate) fn new(backend: Backend) -> Self {
         SchedulerDriver {
-            transport,
-            name,
+            backend,
             invocations: 0,
             telemetry: Telemetry::disabled(),
-            latency_metric,
         }
     }
 
-    /// Attaches a telemetry handle; each invocation's transport round-trip
-    /// is timed into `sched.invoke.<kind>_seconds`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    /// Attaches a telemetry handle; each invocation's round-trip is timed
+    /// into `sched.invoke.{in_process,external}_seconds`.
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
-    /// Drives an in-process algorithm through the zero-copy transport.
-    pub fn in_process(algorithm: Box<dyn Scheduler>) -> Self {
-        SchedulerDriver::new(Box::new(InProcessTransport::new(algorithm)))
-    }
-
-    /// The scheduler's name, for reports and traces.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// How many times the scheduler has been invoked.
-    pub fn invocations(&self) -> u64 {
+    pub(crate) fn invocations(&self) -> u64 {
         self.invocations
     }
 
     /// One invocation: sends the view, returns the decision batch, or a
-    /// structured error if the transport failed.
+    /// structured error if the external scheduler failed.
     pub(crate) fn invoke(
         &mut self,
         now: f64,
@@ -118,19 +105,29 @@ impl SchedulerDriver {
     ) -> Result<Vec<Decision>, SimError> {
         self.invocations += 1;
         self.telemetry.counter_add("sched.invocations", 1);
-        let _span = self.telemetry.span(self.latency_metric);
-        self.transport
-            .request(view, why)
-            .map_err(|source| SimError::Scheduler {
-                time: now,
-                scheduler: self.name.clone(),
-                source,
-            })
+        match &mut self.backend {
+            Backend::InProcess(algorithm) => {
+                let _span = self.telemetry.span("sched.invoke.in_process_seconds");
+                Ok(algorithm.schedule(view, why))
+            }
+            Backend::External(process) => {
+                let _span = self.telemetry.span("sched.invoke.external_seconds");
+                process
+                    .request(view, why)
+                    .map_err(|source| SimError::Scheduler {
+                        time: now,
+                        scheduler: process.name(),
+                        source,
+                    })
+            }
+        }
     }
 
-    /// Releases transport resources (kills external processes).
+    /// Kills an external scheduler; a no-op in process.
     pub(crate) fn shutdown(&mut self) {
-        self.transport.shutdown();
+        if let Backend::External(process) = &mut self.backend {
+            process.shutdown();
+        }
     }
 }
 
@@ -141,8 +138,7 @@ mod tests {
 
     #[test]
     fn in_process_driver_invokes_and_counts() {
-        let mut driver = SchedulerDriver::in_process(Box::new(FcfsScheduler::new()));
-        assert_eq!(driver.name(), "fcfs");
+        let mut driver = SchedulerDriver::new(Backend::InProcess(Box::new(FcfsScheduler::new())));
         assert_eq!(driver.invocations(), 0);
         let view = SystemView {
             now: 0.0,
@@ -154,33 +150,5 @@ mod tests {
         assert!(decisions.is_empty());
         assert_eq!(driver.invocations(), 1);
         driver.shutdown();
-    }
-
-    #[test]
-    fn transport_failures_become_sim_errors() {
-        struct Failing;
-        impl SchedulerTransport for Failing {
-            fn name(&self) -> String {
-                "failing".into()
-            }
-            fn request(
-                &mut self,
-                _: &SystemView,
-                _: Invocation,
-            ) -> Result<Vec<Decision>, TransportError> {
-                Err(TransportError::Timeout { secs: 1.0 })
-            }
-        }
-        let mut driver = SchedulerDriver::new(Box::new(Failing));
-        let view = SystemView {
-            now: 0.0,
-            total_nodes: 0,
-            free_nodes: vec![],
-            jobs: vec![],
-        };
-        let err = driver.invoke(5.0, &view, Invocation::Periodic).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("failing") && msg.contains("t=5"), "{msg}");
-        assert!(std::error::Error::source(&err).is_some());
     }
 }

@@ -1,7 +1,7 @@
 //! The batch-system simulation engine.
 //!
 //! [`Simulation`] owns the DES kernel, the instantiated platform, the job
-//! table, and the [`SchedulerDriver`], and drives jobs through their
+//! table, and the scheduler driver, and drives jobs through their
 //! lifecycle: submit → start → phases/tasks (with scheduling points where
 //! reconfigurations are applied) → completion. Every externally meaningful
 //! state change is emitted as a [`SimEvent`] on the observer bus, from
@@ -13,14 +13,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use elastisim_des::{ActivitySpec, Simulator, Time};
 use elastisim_platform::{NodeId, Platform, PlatformSpec};
 use elastisim_sched::{
-    Decision, Invocation, JobRunInfo, JobState, JobView, Scheduler, SchedulerTransport, SystemView,
+    Decision, ExternalProcess, Invocation, JobRunInfo, JobState, JobView, Scheduler, SystemView,
 };
 use elastisim_telemetry::Telemetry;
 use elastisim_workload::{validate_workload, JobClass, JobId, JobSpec, WorkloadError};
 
 use crate::config::{ReconfigCost, SimConfig};
 use crate::decisions::{deps_satisfied, DecisionCtx, KillTarget};
-use crate::driver::{SchedulerDriver, SimError};
+use crate::driver::{Backend, SchedulerDriver, SimError};
 use crate::exec::{has_latency, task_activities, task_context};
 use crate::lifecycle::{JobRuntime, RunState, Stage, Step};
 use crate::observe::{EventBus, Observer, SimEvent};
@@ -93,36 +93,24 @@ impl Simulation {
         scheduler: Box<dyn Scheduler>,
         cfg: SimConfig,
     ) -> Result<Self, WorkloadError> {
-        Self::with_driver(
-            platform_spec,
-            workload,
-            SchedulerDriver::in_process(scheduler),
-            cfg,
-        )
+        Self::with_backend(platform_spec, workload, Backend::InProcess(scheduler), cfg)
     }
 
-    /// Builds a simulation around any scheduler transport — e.g. an
-    /// [`elastisim_sched::ExternalProcess`] speaking the wire protocol.
-    /// Use [`Simulation::try_run`] with fallible transports.
-    pub fn with_transport(
+    /// Builds a simulation around a scheduler in a child process speaking
+    /// the wire protocol. Use [`Simulation::try_run`]: the process can fail.
+    pub fn with_external(
         platform_spec: &PlatformSpec,
         workload: Vec<JobSpec>,
-        transport: Box<dyn SchedulerTransport>,
+        process: ExternalProcess,
         cfg: SimConfig,
     ) -> Result<Self, WorkloadError> {
-        Self::with_driver(
-            platform_spec,
-            workload,
-            SchedulerDriver::new(transport),
-            cfg,
-        )
+        Self::with_backend(platform_spec, workload, Backend::External(process), cfg)
     }
 
-    /// Builds a simulation around an already-constructed driver.
-    pub fn with_driver(
+    fn with_backend(
         platform_spec: &PlatformSpec,
         workload: Vec<JobSpec>,
-        driver: SchedulerDriver,
+        backend: Backend,
         cfg: SimConfig,
     ) -> Result<Self, WorkloadError> {
         validate_workload(&workload, platform_spec.num_nodes())?;
@@ -155,7 +143,7 @@ impl Simulation {
             sim,
             platform,
             cfg,
-            driver,
+            driver: SchedulerDriver::new(backend),
             bus,
             jobs,
             free,
@@ -199,14 +187,14 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler transport fails (only possible with an
-    /// external scheduler); use [`Simulation::try_run`] for those.
+    /// Panics if an external scheduler fails; use [`Simulation::try_run`]
+    /// for those.
     pub fn run(self) -> Report {
         self.try_run()
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
-    /// Runs to completion, or stops at the first scheduler-transport
+    /// Runs to completion, or stops at the first external-scheduler
     /// failure with a structured error.
     pub fn try_run(mut self) -> Result<Report, SimError> {
         self.ensure_tick(0.0);
@@ -227,7 +215,7 @@ impl Simulation {
                 Ev::Submit(id) => {
                     self.announce_submissions(now);
                     if self.cfg.invoke_on_submit {
-                        self.invoke_scheduler(now, Invocation::JobSubmitted(id));
+                        self.invoke_scheduler(now, Invocation::JobSubmitted { job: id });
                     }
                     self.ensure_tick(now);
                 }
@@ -244,7 +232,7 @@ impl Simulation {
                     if live {
                         self.terminate(job, now, Outcome::WalltimeExceeded);
                         if self.cfg.invoke_on_completion {
-                            self.invoke_scheduler(now, Invocation::JobCompleted(job));
+                            self.invoke_scheduler(now, Invocation::JobCompleted { job });
                         }
                     }
                 }
@@ -467,7 +455,7 @@ impl Simulation {
                 }
                 Step::SchedulingPoint => {
                     if self.cfg.invoke_on_scheduling_point {
-                        self.invoke_scheduler(now, Invocation::SchedulingPoint(id));
+                        self.invoke_scheduler(now, Invocation::SchedulingPoint { job: id });
                     }
                     if self.apply_pending_reconfig(id, now) {
                         return; // paused for the reconfiguration cost
@@ -482,7 +470,7 @@ impl Simulation {
                 Step::Done => {
                     self.terminate(id, now, Outcome::Completed);
                     if self.cfg.invoke_on_completion {
-                        self.invoke_scheduler(now, Invocation::JobCompleted(id));
+                        self.invoke_scheduler(now, Invocation::JobCompleted { job: id });
                     }
                     return;
                 }
@@ -498,15 +486,15 @@ impl Simulation {
             return;
         }
         let phase = &rt.spec.app.phases[rt.cursor.phase];
-        let Some(want) = phase.evolving_request else {
+        let Some(nodes) = phase.evolving_request else {
             return;
         };
-        if want as usize == rt.alloc.len() {
+        if nodes as usize == rt.alloc.len() {
             return;
         }
-        rt.evolving_desired = Some((want, now));
+        rt.evolving_desired = Some((nodes, now));
         if self.cfg.invoke_on_evolving_request {
-            self.invoke_scheduler(now, Invocation::EvolvingRequest(id, want));
+            self.invoke_scheduler(now, Invocation::EvolvingRequest { job: id, nodes });
         }
     }
 
@@ -543,7 +531,7 @@ impl Simulation {
                 });
                 self.terminate(id, now, Outcome::Killed);
                 if self.cfg.invoke_on_completion {
-                    self.invoke_scheduler(now, Invocation::JobCompleted(id));
+                    self.invoke_scheduler(now, Invocation::JobCompleted { job: id });
                 }
                 return;
             }
@@ -659,7 +647,7 @@ impl Simulation {
                     // victim; pull it back out of the pool.
                     self.free.remove(&victim);
                     if self.cfg.invoke_on_completion {
-                        self.invoke_scheduler(now, Invocation::JobCompleted(id));
+                        self.invoke_scheduler(now, Invocation::JobCompleted { job: id });
                     }
                 }
             }
@@ -713,7 +701,7 @@ impl Simulation {
         if any_removed && self.cfg.invoke_on_release {
             // Hand the released nodes out immediately; otherwise the queue
             // head waits for the next periodic tick.
-            self.invoke_scheduler(now, Invocation::SchedulingPoint(id));
+            self.invoke_scheduler(now, Invocation::SchedulingPoint { job: id });
         }
 
         // Pay the cost.
@@ -863,8 +851,8 @@ impl Simulation {
     /// Invokes the scheduler through the driver and applies its decisions.
     /// Returns how many decisions were applied. Re-entrant invocations
     /// (triggered by lifecycle changes during application) are deferred
-    /// and run after the current one finishes. A transport failure sets
-    /// `self.fatal` and aborts the run.
+    /// and run after the current one finishes. An external-scheduler
+    /// failure sets `self.fatal` and aborts the run.
     fn invoke_scheduler(&mut self, now: f64, why: Invocation) -> usize {
         if self.fatal.is_some() {
             return 0;

@@ -14,11 +14,11 @@
 //! ```text
 //!  PlatformSpec ──► Platform ──► flow resources (CPU/GPU/NIC/PFS/BB)
 //!  Vec<JobSpec> ──► JobRuntime table        │ elastisim-des kernel
-//!  SchedulerDriver ◄────── SystemView ──────┤ (max-min fair sharing)
+//!  scheduler driver ◄───── SystemView ──────┤ (max-min fair sharing)
 //!   │ in-process trait │ external process   │
 //!   │ decisions        ▼ (JSON wire proto)  ▼
 //!   └─► Simulation::run() ──► SimEvent bus ──► Report (+ observers:
-//!       (try_run for fallible transports)      Gantt, util, warnings,
+//!       (try_run for external schedulers)      Gantt, util, warnings,
 //!                                              JSONL event trace)
 //! ```
 //!
@@ -66,7 +66,7 @@ mod trace;
 
 pub use chrome::ChromeTraceWriter;
 pub use config::{FailureModel, ReconfigCost, SimConfig};
-pub use driver::{SchedulerDriver, SimError};
+pub use driver::SimError;
 pub use engine::Simulation;
 pub use exec::ExecError;
 pub use invariant::{InvariantChecker, InvariantViolation};

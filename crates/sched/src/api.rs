@@ -1,39 +1,61 @@
 //! The scheduler-facing API: views, decisions, invocation points.
+//!
+//! These types are also the wire format spoken to external schedulers
+//! ([`crate::protocol`]): their serde derives emit the protocol-v1 JSON,
+//! which the fixtures under `tests/fixtures/` pin.
+
+use serde::{Deserialize, Serialize};
 
 use elastisim_platform::NodeId;
 use elastisim_workload::{JobClass, JobId};
 
 /// Why the scheduler is being invoked. Mirrors ElastiSim's invocation
-/// points: a periodic timer plus the job-lifecycle events.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// points: a periodic timer plus the job-lifecycle events. On the wire,
+/// tagged with a `why` discriminator.
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[serde(tag = "why", rename_all = "snake_case")]
 pub enum Invocation {
     /// The periodic scheduling interval elapsed.
     Periodic,
     /// A job was submitted.
-    JobSubmitted(JobId),
+    JobSubmitted {
+        /// The submitted job.
+        job: JobId,
+    },
     /// A job finished (completed, was killed, or failed validation).
-    JobCompleted(JobId),
+    JobCompleted {
+        /// The finished job.
+        job: JobId,
+    },
     /// A running evolving job asked to change to the given node count.
-    EvolvingRequest(JobId, u32),
+    EvolvingRequest {
+        /// The requesting job.
+        job: JobId,
+        /// The desired node count.
+        nodes: u32,
+    },
     /// A running job passed a scheduling point (reconfiguration
     /// opportunity for malleable jobs).
-    SchedulingPoint(JobId),
+    SchedulingPoint {
+        /// The job at its scheduling point.
+        job: JobId,
+    },
 }
 
 impl std::fmt::Display for Invocation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Invocation::Periodic => write!(f, "periodic"),
-            Invocation::JobSubmitted(id) => write!(f, "submitted:{id}"),
-            Invocation::JobCompleted(id) => write!(f, "completed:{id}"),
-            Invocation::EvolvingRequest(id, n) => write!(f, "evolving:{id}:{n}"),
-            Invocation::SchedulingPoint(id) => write!(f, "scheduling_point:{id}"),
+            Invocation::JobSubmitted { job } => write!(f, "submitted:{job}"),
+            Invocation::JobCompleted { job } => write!(f, "completed:{job}"),
+            Invocation::EvolvingRequest { job, nodes } => write!(f, "evolving:{job}:{nodes}"),
+            Invocation::SchedulingPoint { job } => write!(f, "scheduling_point:{job}"),
         }
     }
 }
 
 /// Runtime details of a running job.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct JobRunInfo {
     /// Nodes currently allocated to the job.
     pub nodes: Vec<NodeId>,
@@ -48,8 +70,10 @@ pub struct JobRunInfo {
     pub progress: f64,
 }
 
-/// Scheduling state of a job.
-#[derive(Clone, PartialEq, Debug)]
+/// Scheduling state of a job. On the wire, tagged with a `state`
+/// discriminator; a running job's [`JobRunInfo`] fields sit beside it.
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[serde(tag = "state", rename_all = "snake_case")]
 pub enum JobState {
     /// Waiting in the queue.
     Pending,
@@ -58,14 +82,12 @@ pub enum JobState {
 }
 
 /// Snapshot of one job, as shown to the scheduling algorithm.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct JobView {
     /// Job id.
     pub id: JobId,
     /// Elasticity class.
     pub class: JobClass,
-    /// Current state.
-    pub state: JobState,
     /// Submission time.
     pub submit_time: f64,
     /// Smallest allocation the job accepts.
@@ -80,6 +102,9 @@ pub struct JobView {
     /// Start size the *user* fixed (rigid and evolving jobs); `None` when
     /// the scheduler chooses (moldable, malleable).
     pub fixed_start: Option<u32>,
+    /// Current state, flattened into the job object on the wire.
+    #[serde(flatten)]
+    pub state: JobState,
 }
 
 impl JobView {
@@ -115,7 +140,7 @@ impl JobView {
 }
 
 /// Snapshot of the whole system at an invocation.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct SystemView {
     /// Current simulated time, seconds.
     pub now: f64,
@@ -161,8 +186,10 @@ impl SystemView {
 /// The engine validates every decision (nodes actually free, counts within
 /// the job's range, job in the right state) and ignores invalid ones with a
 /// logged warning — the same defensive posture a production batch system
-/// takes toward a scheduling plug-in.
-#[derive(Clone, PartialEq, Debug)]
+/// takes toward a scheduling plug-in. On the wire, tagged with an
+/// `action` discriminator.
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[serde(tag = "action", rename_all = "snake_case")]
 pub enum Decision {
     /// Start a pending job on exactly these (free) nodes.
     Start {

@@ -1,22 +1,81 @@
-//! External-process scheduler transport: JSON-lines over stdin/stdout.
+//! External-process scheduler: JSON-lines over stdin/stdout.
 //!
 //! This restores the original ElastiSim deployment model in spirit: the
 //! scheduling algorithm lives in its *own process* (any language), receives
 //! one [`crate::protocol::Request`] JSON line per invocation on stdin, and
 //! answers with one [`crate::protocol::Response`] line on stdout. The
-//! engine enforces a per-request timeout: an unresponsive scheduler is
-//! killed and the run fails with a structured [`TransportError`] instead of
-//! hanging. Stderr is inherited, so external schedulers can log freely.
+//! engine enforces a per-request timeout and a per-line size cap: an
+//! unresponsive or runaway scheduler is killed and the run fails with a
+//! structured [`TransportError`] instead of hanging or buffering without
+//! bound. Stderr is inherited, so external schedulers can log freely.
 
-use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::api::{Decision, Invocation, SystemView};
-use crate::protocol::Request;
-use crate::protocol::Response;
-use crate::transport::{SchedulerTransport, TransportError};
+use crate::protocol::{ProtocolError, Request, Response};
+
+/// A structured failure talking to an external scheduler, surfaced
+/// instead of hanging or silently dropping decisions.
+#[derive(Debug)]
+pub enum TransportError {
+    /// Spawning or talking to the external process failed at the OS level.
+    Io(std::io::Error),
+    /// The external scheduler did not answer within the configured
+    /// timeout; it has been killed.
+    Timeout {
+        /// The timeout that elapsed, seconds.
+        secs: f64,
+    },
+    /// The external scheduler exited (or closed its stdout) mid-run.
+    ChildExited {
+        /// Exit status description, if the process could be reaped.
+        status: String,
+    },
+    /// A protocol-level failure: version mismatch or malformed message.
+    Protocol(ProtocolError),
+    /// The response's sequence number did not match the request's.
+    SeqMismatch {
+        /// Sequence number we sent.
+        sent: u64,
+        /// Sequence number the peer echoed.
+        got: u64,
+    },
+    /// A response line grew past [`ExternalProcess::MAX_RESPONSE_LINE`]
+    /// bytes without a newline; the scheduler has been killed.
+    ResponseTooLong {
+        /// The cap that was exceeded, bytes.
+        limit: usize,
+    },
+}
+
+impl std::fmt::Display for TransportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransportError::Io(e) => write!(f, "scheduler transport I/O error: {e}"),
+            TransportError::Timeout { secs } => {
+                write!(f, "external scheduler unresponsive for {secs} s; killed")
+            }
+            TransportError::ChildExited { status } => {
+                write!(f, "external scheduler exited mid-run ({status})")
+            }
+            TransportError::Protocol(e) => write!(f, "{e}"),
+            TransportError::SeqMismatch { sent, got } => {
+                write!(f, "response out of sequence: sent seq {sent}, got {got}")
+            }
+            TransportError::ResponseTooLong { limit } => {
+                write!(
+                    f,
+                    "external scheduler response line exceeds {limit} bytes; killed"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for TransportError {}
 
 /// A scheduler running as a child process, spoken to over JSON lines.
 #[derive(Debug)]
@@ -25,9 +84,9 @@ pub struct ExternalProcess {
     cmd: Vec<String>,
     child: Child,
     stdin: std::process::ChildStdin,
-    /// Lines read off the child's stdout by a background thread; `None`
-    /// marks EOF.
-    lines: mpsc::Receiver<std::io::Result<String>>,
+    /// Lines read off the child's stdout by a background thread, at most
+    /// one ahead of the engine; disconnection marks EOF.
+    lines: mpsc::Receiver<Result<String, TransportError>>,
     timeout: Duration,
     seq: u64,
     /// Set once a fatal error occurred; further requests fail fast.
@@ -37,6 +96,11 @@ pub struct ExternalProcess {
 impl ExternalProcess {
     /// Default per-request timeout.
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// Longest response line accepted, bytes (newline excluded). A child
+    /// that writes more without a newline is killed with
+    /// [`TransportError::ResponseTooLong`].
+    pub const MAX_RESPONSE_LINE: usize = 16 << 20;
 
     /// Spawns `cmd[0]` with arguments `cmd[1..]`, pipes attached. Fails if
     /// the command is empty or the process cannot start.
@@ -52,21 +116,14 @@ impl ExternalProcess {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
-            .spawn()?;
+            .spawn()
+            .map_err(TransportError::Io)?;
         let stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");
-        let (tx, rx) = mpsc::channel();
-        // The reader thread ends when the child closes stdout or the
-        // receiver is dropped; it holds no other resources.
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stdout);
-            for line in reader.lines() {
-                let failed = line.is_err();
-                if tx.send(line).is_err() || failed {
-                    break;
-                }
-            }
-        });
+        // One line in flight: the reader blocks (and so does a flooding
+        // child) until the engine takes the previous line.
+        let (tx, rx) = mpsc::sync_channel(1);
+        std::thread::spawn(move || read_lines(stdout, tx));
         Ok(ExternalProcess {
             cmd: cmd.to_vec(),
             child,
@@ -98,85 +155,99 @@ impl ExternalProcess {
         }
     }
 
-    fn exchange(&mut self, req: &Request) -> Result<Response, TransportError> {
+    /// Name used in reports and traces: `external:` plus the command line.
+    pub fn name(&self) -> String {
+        format!("external:{}", self.cmd.join(" "))
+    }
+
+    /// Sends one invocation and returns the scheduler's decisions. Any
+    /// failure kills the child, and later requests fail fast.
+    pub fn request(
+        &mut self,
+        view: &SystemView,
+        why: Invocation,
+    ) -> Result<Vec<Decision>, TransportError> {
         if self.dead {
             return Err(TransportError::ChildExited {
                 status: "already failed".into(),
             });
         }
-        let mut line = req.to_json();
+        self.seq += 1;
+        let mut line = Request::new(self.seq, why, view).to_json();
         line.push('\n');
-        if let Err(e) = self
+        let sent = self
             .stdin
             .write_all(line.as_bytes())
-            .and_then(|()| self.stdin.flush())
-        {
-            let status = self.kill_and_reap();
+            .and_then(|()| self.stdin.flush());
+        let reply = match sent {
             // A broken pipe means the child died; report that, not EPIPE.
-            return Err(if e.kind() == std::io::ErrorKind::BrokenPipe {
-                TransportError::ChildExited { status }
-            } else {
-                TransportError::Io(e)
-            });
-        }
-        match self.lines.recv_timeout(self.timeout) {
-            Ok(Ok(reply)) => {
-                let resp = match Response::from_json(&reply) {
-                    Ok(resp) => resp,
-                    Err(e) => {
-                        self.kill_and_reap();
-                        return Err(e.into());
-                    }
-                };
-                if resp.seq != req.seq {
-                    self.kill_and_reap();
-                    return Err(TransportError::SeqMismatch {
-                        sent: req.seq,
-                        got: resp.seq,
-                    });
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(None),
+            Err(e) => Err(Some(TransportError::Io(e))),
+            Ok(()) => match self.lines.recv_timeout(self.timeout) {
+                Ok(Ok(reply)) => {
+                    Response::from_json(&reply).map_err(|e| Some(TransportError::Protocol(e)))
                 }
-                Ok(resp)
-            }
-            Ok(Err(e)) => {
-                self.kill_and_reap();
-                Err(TransportError::Io(e))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let secs = self.timeout.as_secs_f64();
-                self.kill_and_reap();
-                Err(TransportError::Timeout { secs })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let status = self.kill_and_reap();
-                Err(TransportError::ChildExited { status })
-            }
+                Ok(Err(e)) => Err(Some(e)),
+                Err(mpsc::RecvTimeoutError::Timeout) => Err(Some(TransportError::Timeout {
+                    secs: self.timeout.as_secs_f64(),
+                })),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(None),
+            },
+        };
+        let err = match reply {
+            Ok(resp) if resp.seq == self.seq => return Ok(resp.decisions),
+            Ok(resp) => Some(TransportError::SeqMismatch {
+                sent: self.seq,
+                got: resp.seq,
+            }),
+            Err(err) => err,
+        };
+        // `None`: the child is gone, and its exit status is the error.
+        let status = self.kill_and_reap();
+        Err(err.unwrap_or(TransportError::ChildExited { status }))
+    }
+
+    /// Kills and reaps the child. Called once when the simulation
+    /// finishes; later requests fail fast.
+    pub fn shutdown(&mut self) {
+        if !self.dead {
+            self.kill_and_reap();
         }
     }
 }
 
-impl SchedulerTransport for ExternalProcess {
-    fn name(&self) -> String {
-        format!("external:{}", self.cmd.join(" "))
-    }
-
-    fn kind(&self) -> &'static str {
-        "external"
-    }
-
-    fn request(
-        &mut self,
-        view: &SystemView,
-        why: Invocation,
-    ) -> Result<Vec<Decision>, TransportError> {
-        self.seq += 1;
-        let req = Request::new(self.seq, why, view);
-        Ok(self.exchange(&req)?.into_decisions())
-    }
-
-    fn shutdown(&mut self) {
-        if !self.dead {
-            // Closing stdin is the orderly shutdown signal; then reap.
-            self.kill_and_reap();
+/// Reads `\n`-terminated lines (a trailing `\r` is dropped) until EOF, the
+/// first error, or the receiver hanging up. A line longer than
+/// [`ExternalProcess::MAX_RESPONSE_LINE`] is an error, not an allocation.
+fn read_lines(stdout: ChildStdout, tx: mpsc::SyncSender<Result<String, TransportError>>) {
+    let limit = ExternalProcess::MAX_RESPONSE_LINE;
+    let mut reader = BufReader::new(stdout);
+    loop {
+        let mut buf = Vec::new();
+        let line = match (&mut reader)
+            .take(limit as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) => return,
+            Ok(_) if buf.len() > limit && buf.last() != Some(&b'\n') => {
+                Err(TransportError::ResponseTooLong { limit })
+            }
+            Ok(_) => {
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                    if buf.last() == Some(&b'\r') {
+                        buf.pop();
+                    }
+                }
+                String::from_utf8(buf).map_err(|e| {
+                    TransportError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+                })
+            }
+            Err(e) => Err(TransportError::Io(e)),
+        };
+        let failed = line.is_err();
+        if tx.send(line).is_err() || failed {
+            return;
         }
     }
 }
@@ -251,5 +322,15 @@ mod tests {
         let err = t.request(&view, Invocation::Periodic).unwrap_err();
         assert!(matches!(err, TransportError::Timeout { .. }), "{err}");
         assert!(start.elapsed() < Duration::from_secs(10), "did not kill");
+    }
+
+    #[test]
+    fn transport_errors_render() {
+        let e = TransportError::Timeout { secs: 2.5 };
+        assert!(e.to_string().contains("2.5"));
+        let e = TransportError::SeqMismatch { sent: 3, got: 4 };
+        assert!(e.to_string().contains("sent seq 3"));
+        let e = TransportError::ResponseTooLong { limit: 16 };
+        assert!(e.to_string().contains("exceeds 16 bytes"));
     }
 }

@@ -15,11 +15,11 @@
 //! * [`SystemView`] / [`JobView`] — the read-only snapshot.
 //! * [`Decision`] — start / reconfigure / kill.
 //! * [`Invocation`] — why the scheduler was called.
-//! * [`protocol`] — the serde wire forms of the above, with a
-//!   protocol-version header ([`protocol::PROTOCOL_VERSION`]).
-//! * [`SchedulerTransport`] — how an invocation reaches an algorithm:
-//!   [`InProcessTransport`] (zero-copy) or [`ExternalProcess`]
-//!   (JSON-lines over a child process, with timeout-and-kill semantics).
+//! * [`protocol`] — the request/response envelopes that carry the above
+//!   (whose serde derives are the wire format) with a protocol-version
+//!   header ([`protocol::PROTOCOL_VERSION`]).
+//! * [`ExternalProcess`] — a scheduler in a child process, spoken to in
+//!   JSON lines, with timeout-and-kill semantics and a bounded line size.
 //!
 //! ## Provided algorithms
 //!
@@ -45,7 +45,6 @@ mod external;
 mod node_selection;
 pub mod protocol;
 mod registry;
-mod transport;
 
 pub use algo_conservative::ConservativeBackfilling;
 pub use algo_easy::{EasyBackfilling, SizingPolicy};
@@ -53,7 +52,6 @@ pub use algo_elastic::{ElasticConfig, ElasticScheduler};
 pub use algo_fcfs::FcfsScheduler;
 pub use algo_firstfit::FirstFit;
 pub use api::{Decision, Invocation, JobRunInfo, JobState, JobView, Scheduler, SystemView};
-pub use external::ExternalProcess;
+pub use external::{ExternalProcess, TransportError};
 pub use node_selection::{lowest_free, NodeSet};
 pub use registry::{by_name, SCHEDULER_NAMES};
-pub use transport::{InProcessTransport, SchedulerTransport, TransportError};

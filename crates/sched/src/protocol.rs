@@ -2,10 +2,10 @@
 //!
 //! The original ElastiSim exposes system snapshots and scheduling decisions
 //! to an out-of-process (Python) scheduler over ZeroMQ. This module is that
-//! boundary's message vocabulary: serde-serializable mirror types of the
-//! in-memory [`crate::SystemView`] / [`crate::Invocation`] /
-//! [`crate::Decision`] API, wrapped in request/response envelopes that
-//! carry a protocol-version header and a sequence number.
+//! boundary's message envelopes: the in-memory [`crate::Invocation`],
+//! [`crate::SystemView`] and [`crate::Decision`] values — which derive
+//! their own JSON form — wrapped in requests and responses that carry a
+//! protocol-version header and a sequence number.
 //!
 //! ## Framing
 //!
@@ -24,267 +24,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use elastisim_platform::NodeId;
-use elastisim_workload::{JobClass, JobId};
-
-use crate::api;
+use crate::api::{Decision, Invocation, SystemView};
 
 /// Version of the wire protocol. Bumped on any incompatible change to the
 /// message schema; both endpoints refuse to talk across a mismatch.
 pub const PROTOCOL_VERSION: u32 = 1;
-
-/// Why the scheduler is being invoked — wire form of
-/// [`crate::Invocation`], tagged with a `why` discriminator.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(tag = "why", rename_all = "snake_case")]
-pub enum Invocation {
-    /// The periodic scheduling interval elapsed.
-    Periodic,
-    /// A job was submitted.
-    JobSubmitted {
-        /// The submitted job.
-        job: JobId,
-    },
-    /// A job finished (completed, was killed, or failed validation).
-    JobCompleted {
-        /// The finished job.
-        job: JobId,
-    },
-    /// A running evolving job asked to change to the given node count.
-    EvolvingRequest {
-        /// The requesting job.
-        job: JobId,
-        /// The desired node count.
-        nodes: u32,
-    },
-    /// A running job passed a scheduling point.
-    SchedulingPoint {
-        /// The job at its scheduling point.
-        job: JobId,
-    },
-}
-
-impl From<api::Invocation> for Invocation {
-    fn from(inv: api::Invocation) -> Self {
-        match inv {
-            api::Invocation::Periodic => Invocation::Periodic,
-            api::Invocation::JobSubmitted(job) => Invocation::JobSubmitted { job },
-            api::Invocation::JobCompleted(job) => Invocation::JobCompleted { job },
-            api::Invocation::EvolvingRequest(job, nodes) => {
-                Invocation::EvolvingRequest { job, nodes }
-            }
-            api::Invocation::SchedulingPoint(job) => Invocation::SchedulingPoint { job },
-        }
-    }
-}
-
-impl From<Invocation> for api::Invocation {
-    fn from(inv: Invocation) -> Self {
-        match inv {
-            Invocation::Periodic => api::Invocation::Periodic,
-            Invocation::JobSubmitted { job } => api::Invocation::JobSubmitted(job),
-            Invocation::JobCompleted { job } => api::Invocation::JobCompleted(job),
-            Invocation::EvolvingRequest { job, nodes } => {
-                api::Invocation::EvolvingRequest(job, nodes)
-            }
-            Invocation::SchedulingPoint { job } => api::Invocation::SchedulingPoint(job),
-        }
-    }
-}
-
-/// Scheduling state of a job — wire form of [`crate::JobState`], tagged
-/// with a `state` discriminator and flattened into [`JobView`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(tag = "state", rename_all = "snake_case")]
-pub enum JobState {
-    /// Waiting in the queue.
-    Pending,
-    /// Executing.
-    Running {
-        /// Nodes currently allocated to the job.
-        nodes: Vec<NodeId>,
-        /// When the job started.
-        start_time: f64,
-        /// Whether a reconfiguration is ordered but not yet applied.
-        reconfig_pending: bool,
-        /// Fraction of task executions already completed, in `[0, 1]`.
-        progress: f64,
-    },
-}
-
-impl From<&api::JobState> for JobState {
-    fn from(state: &api::JobState) -> Self {
-        match state {
-            api::JobState::Pending => JobState::Pending,
-            api::JobState::Running(info) => JobState::Running {
-                nodes: info.nodes.clone(),
-                start_time: info.start_time,
-                reconfig_pending: info.reconfig_pending,
-                progress: info.progress,
-            },
-        }
-    }
-}
-
-impl From<JobState> for api::JobState {
-    fn from(state: JobState) -> Self {
-        match state {
-            JobState::Pending => api::JobState::Pending,
-            JobState::Running {
-                nodes,
-                start_time,
-                reconfig_pending,
-                progress,
-            } => api::JobState::Running(api::JobRunInfo {
-                nodes,
-                start_time,
-                reconfig_pending,
-                progress,
-            }),
-        }
-    }
-}
-
-/// Snapshot of one job — wire form of [`crate::JobView`]. The state tag
-/// and any running-job fields are flattened into the job object itself.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct JobView {
-    /// Job id.
-    pub id: JobId,
-    /// Elasticity class.
-    pub class: JobClass,
-    /// Submission time, seconds.
-    pub submit_time: f64,
-    /// Smallest allocation the job accepts.
-    pub min_nodes: u32,
-    /// Largest allocation the job can use.
-    pub max_nodes: u32,
-    /// User-supplied walltime limit, seconds.
-    #[serde(default)]
-    pub walltime: Option<f64>,
-    /// For evolving jobs: an unanswered resource request, if any.
-    #[serde(default)]
-    pub evolving_request: Option<u32>,
-    /// Start size the user fixed; `None` when the scheduler chooses.
-    #[serde(default)]
-    pub fixed_start: Option<u32>,
-    /// Current state (`"state": "pending"` or `"running"` plus run info).
-    #[serde(flatten)]
-    pub state: JobState,
-}
-
-impl From<&api::JobView> for JobView {
-    fn from(j: &api::JobView) -> Self {
-        JobView {
-            id: j.id,
-            class: j.class,
-            submit_time: j.submit_time,
-            min_nodes: j.min_nodes,
-            max_nodes: j.max_nodes,
-            walltime: j.walltime,
-            evolving_request: j.evolving_request,
-            fixed_start: j.fixed_start,
-            state: (&j.state).into(),
-        }
-    }
-}
-
-impl From<JobView> for api::JobView {
-    fn from(j: JobView) -> Self {
-        api::JobView {
-            id: j.id,
-            class: j.class,
-            state: j.state.into(),
-            submit_time: j.submit_time,
-            min_nodes: j.min_nodes,
-            max_nodes: j.max_nodes,
-            walltime: j.walltime,
-            evolving_request: j.evolving_request,
-            fixed_start: j.fixed_start,
-        }
-    }
-}
-
-/// Snapshot of the whole system — wire form of [`crate::SystemView`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct SystemView {
-    /// Current simulated time, seconds.
-    pub now: f64,
-    /// Total nodes in the platform.
-    pub total_nodes: usize,
-    /// Currently unallocated nodes, ascending id order.
-    pub free_nodes: Vec<NodeId>,
-    /// All pending and running jobs, ascending id order.
-    pub jobs: Vec<JobView>,
-}
-
-impl From<&api::SystemView> for SystemView {
-    fn from(v: &api::SystemView) -> Self {
-        SystemView {
-            now: v.now,
-            total_nodes: v.total_nodes,
-            free_nodes: v.free_nodes.clone(),
-            jobs: v.jobs.iter().map(Into::into).collect(),
-        }
-    }
-}
-
-impl From<SystemView> for api::SystemView {
-    fn from(v: SystemView) -> Self {
-        api::SystemView {
-            now: v.now,
-            total_nodes: v.total_nodes,
-            free_nodes: v.free_nodes,
-            jobs: v.jobs.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-/// A scheduling decision — wire form of [`crate::Decision`], tagged with
-/// an `action` discriminator.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(tag = "action", rename_all = "snake_case")]
-pub enum Decision {
-    /// Start a pending job on exactly these free nodes.
-    Start {
-        /// The pending job.
-        job: JobId,
-        /// Nodes to allocate.
-        nodes: Vec<NodeId>,
-    },
-    /// Change a running malleable/evolving job's allocation.
-    Reconfigure {
-        /// The running job.
-        job: JobId,
-        /// The complete new node set.
-        nodes: Vec<NodeId>,
-    },
-    /// Remove a job.
-    Kill {
-        /// The job to remove.
-        job: JobId,
-    },
-}
-
-impl From<api::Decision> for Decision {
-    fn from(d: api::Decision) -> Self {
-        match d {
-            api::Decision::Start { job, nodes } => Decision::Start { job, nodes },
-            api::Decision::Reconfigure { job, nodes } => Decision::Reconfigure { job, nodes },
-            api::Decision::Kill { job } => Decision::Kill { job },
-        }
-    }
-}
-
-impl From<Decision> for api::Decision {
-    fn from(d: Decision) -> Self {
-        match d {
-            Decision::Start { job, nodes } => api::Decision::Start { job, nodes },
-            Decision::Reconfigure { job, nodes } => api::Decision::Reconfigure { job, nodes },
-            Decision::Kill { job } => api::Decision::Kill { job },
-        }
-    }
-}
 
 /// One engine → scheduler invocation: the version header, a sequence
 /// number, why the scheduler is being asked, and the system snapshot.
@@ -301,13 +45,13 @@ pub struct Request {
 }
 
 impl Request {
-    /// Builds a current-version request from the in-memory API types.
-    pub fn new(seq: u64, why: api::Invocation, view: &api::SystemView) -> Request {
+    /// Builds a current-version request around a copy of `view`.
+    pub fn new(seq: u64, invocation: Invocation, view: &SystemView) -> Request {
         Request {
             protocol: PROTOCOL_VERSION,
             seq,
-            invocation: why.into(),
-            view: view.into(),
+            invocation,
+            view: view.clone(),
         }
     }
 
@@ -338,12 +82,12 @@ pub struct Response {
 }
 
 impl Response {
-    /// Builds a current-version response from in-memory decisions.
-    pub fn new(seq: u64, decisions: Vec<api::Decision>) -> Response {
+    /// Builds a current-version response.
+    pub fn new(seq: u64, decisions: Vec<Decision>) -> Response {
         Response {
             protocol: PROTOCOL_VERSION,
             seq,
-            decisions: decisions.into_iter().map(Into::into).collect(),
+            decisions,
         }
     }
 
@@ -358,11 +102,6 @@ impl Response {
             serde_json::from_str(line).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
         check_version(resp.protocol)?;
         Ok(resp)
-    }
-
-    /// The decisions as in-memory API values.
-    pub fn into_decisions(self) -> Vec<api::Decision> {
-        self.decisions.into_iter().map(Into::into).collect()
     }
 }
 
@@ -408,17 +147,20 @@ impl std::error::Error for ProtocolError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{JobRunInfo, JobState, JobView};
+    use elastisim_platform::NodeId;
+    use elastisim_workload::{JobClass, JobId};
 
-    fn sample_view() -> api::SystemView {
-        api::SystemView {
+    fn sample_view() -> SystemView {
+        SystemView {
             now: 120.5,
             total_nodes: 8,
             free_nodes: vec![NodeId(4), NodeId(5)],
             jobs: vec![
-                api::JobView {
+                JobView {
                     id: JobId(1),
                     class: JobClass::Malleable,
-                    state: api::JobState::Running(api::JobRunInfo {
+                    state: JobState::Running(JobRunInfo {
                         nodes: vec![NodeId(0), NodeId(1)],
                         start_time: 10.0,
                         reconfig_pending: true,
@@ -431,10 +173,10 @@ mod tests {
                     evolving_request: None,
                     fixed_start: None,
                 },
-                api::JobView {
+                JobView {
                     id: JobId(2),
                     class: JobClass::Evolving,
-                    state: api::JobState::Pending,
+                    state: JobState::Pending,
                     submit_time: 60.0,
                     min_nodes: 2,
                     max_nodes: 6,
@@ -450,39 +192,40 @@ mod tests {
     fn request_roundtrips_through_json() {
         let view = sample_view();
         for why in [
-            api::Invocation::Periodic,
-            api::Invocation::JobSubmitted(JobId(2)),
-            api::Invocation::JobCompleted(JobId(1)),
-            api::Invocation::EvolvingRequest(JobId(2), 4),
-            api::Invocation::SchedulingPoint(JobId(1)),
+            Invocation::Periodic,
+            Invocation::JobSubmitted { job: JobId(2) },
+            Invocation::JobCompleted { job: JobId(1) },
+            Invocation::EvolvingRequest {
+                job: JobId(2),
+                nodes: 4,
+            },
+            Invocation::SchedulingPoint { job: JobId(1) },
         ] {
             let req = Request::new(7, why, &view);
             let back = Request::from_json(&req.to_json()).unwrap();
             assert_eq!(req, back);
-            // And the round-trip back to API types is lossless.
-            let api_view: api::SystemView = back.view.into();
-            assert_eq!(api_view, view);
-            assert_eq!(api::Invocation::from(back.invocation), why);
+            assert_eq!(back.view, view);
+            assert_eq!(back.invocation, why);
         }
     }
 
     #[test]
     fn response_roundtrips_through_json() {
         let decisions = vec![
-            api::Decision::Start {
+            Decision::Start {
                 job: JobId(2),
                 nodes: vec![NodeId(4), NodeId(5)],
             },
-            api::Decision::Reconfigure {
+            Decision::Reconfigure {
                 job: JobId(1),
                 nodes: vec![NodeId(0)],
             },
-            api::Decision::Kill { job: JobId(3) },
+            Decision::Kill { job: JobId(3) },
         ];
         let resp = Response::new(9, decisions.clone());
         let back = Response::from_json(&resp.to_json()).unwrap();
         assert_eq!(back.seq, 9);
-        assert_eq!(back.into_decisions(), decisions);
+        assert_eq!(back.decisions, decisions);
     }
 
     #[test]
@@ -511,9 +254,12 @@ mod tests {
 
     #[test]
     fn state_tag_is_flattened_into_job_objects() {
-        let req = Request::new(0, api::Invocation::Periodic, &sample_view());
+        let req = Request::new(0, Invocation::Periodic, &sample_view());
         let json = req.to_json();
-        assert!(json.contains(r#""state":"running""#), "{json}");
+        assert!(
+            json.contains(r#""state":"running","nodes":[0,1],"start_time":10"#),
+            "{json}"
+        );
         assert!(json.contains(r#""state":"pending""#), "{json}");
         assert!(json.contains(r#""why":"periodic""#), "{json}");
     }

@@ -13,9 +13,8 @@
 //! bump [`PROTOCOL_VERSION`] and regenerate the fixtures.
 
 use elastisim_platform::NodeId;
-use elastisim_sched::protocol::{
-    Decision, Invocation, JobState, JobView, Request, Response, SystemView, PROTOCOL_VERSION,
-};
+use elastisim_sched::protocol::{Request, Response, PROTOCOL_VERSION};
+use elastisim_sched::{Decision, Invocation, JobRunInfo, JobState, JobView, SystemView};
 use elastisim_workload::{JobClass, JobId};
 
 fn nodes(ids: &[u32]) -> Vec<NodeId> {
@@ -139,12 +138,12 @@ fn evolving_request_matches_fixture() {
                 walltime: None,
                 evolving_request: Some(3),
                 fixed_start: None,
-                state: JobState::Running {
+                state: JobState::Running(JobRunInfo {
                     nodes: nodes(&[0, 1]),
                     start_time: 120.0,
                     reconfig_pending: false,
                     progress: 0.5,
-                },
+                }),
             }],
         },
     };
@@ -173,12 +172,12 @@ fn scheduling_point_request_matches_fixture() {
                 walltime: Some(7200.0),
                 evolving_request: None,
                 fixed_start: None,
-                state: JobState::Running {
+                state: JobState::Running(JobRunInfo {
                     nodes: nodes(&[0, 1, 2]),
                     start_time: 30.0,
                     reconfig_pending: true,
                     progress: 0.75,
-                },
+                }),
             }],
         },
     };
