@@ -12,13 +12,23 @@ use std::sync::{Arc, Mutex};
 
 use elastisim::Report;
 
-/// A cached completed run.
-#[derive(Clone, Debug)]
+/// A completed run: the report and its [`Report::digest`], computed once.
+/// The cache and every [`crate::RunRecord`] answering the scenario share
+/// one `Arc` of it.
+#[derive(Debug)]
 pub struct CachedRun {
     /// The report, as produced by the original execution.
     pub report: Report,
-    /// The report's canonical fingerprint (computed once, at insert).
-    pub report_fingerprint: String,
+    /// The report's `rdg1-` digest.
+    pub digest: String,
+}
+
+impl CachedRun {
+    /// Wraps a finished report, digesting it.
+    pub fn new(report: Report) -> Self {
+        let digest = report.digest();
+        CachedRun { report, digest }
+    }
 }
 
 /// Thread-safe scenario-fingerprint → report cache, shared by every
@@ -52,14 +62,8 @@ impl ResultCache {
     /// Stores a completed run. Two workers racing the same scenario both
     /// insert byte-identical values (determinism), so last-write-wins is
     /// harmless.
-    pub fn insert(&self, fingerprint: String, report: Report, report_fingerprint: String) {
-        self.lock().insert(
-            fingerprint,
-            Arc::new(CachedRun {
-                report,
-                report_fingerprint,
-            }),
-        );
+    pub fn insert(&self, fingerprint: String, run: Arc<CachedRun>) {
+        self.lock().insert(fingerprint, run);
     }
 
     /// Number of cached scenarios.
@@ -98,9 +102,11 @@ mod tests {
         let cache = ResultCache::new();
         assert!(cache.is_empty());
         assert!(cache.get("sfp1-x").is_none());
-        cache.insert("sfp1-x".into(), Report::default(), "{}".into());
+        let run = Arc::new(CachedRun::new(Report::default()));
+        cache.insert("sfp1-x".into(), Arc::clone(&run));
         let hit = cache.get("sfp1-x").expect("cached");
-        assert_eq!(hit.report_fingerprint, "{}");
+        assert!(Arc::ptr_eq(&hit, &run));
+        assert_eq!(hit.digest, Report::default().digest());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);

@@ -17,12 +17,12 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use elastisim::{report_fingerprint, FlightRecorder, Report};
+use elastisim::{FlightRecorder, Report};
 use elastisim_telemetry::log::{field, Logger};
 use elastisim_telemetry::{MetricsSnapshot, Telemetry};
 use serde::Value;
 
-use crate::cache::ResultCache;
+use crate::cache::{CachedRun, ResultCache};
 use crate::spec::RunSpec;
 
 /// Why a run failed.
@@ -52,13 +52,9 @@ impl std::error::Error for RunError {}
 /// How one run ended.
 #[derive(Clone, Debug)]
 pub enum RunOutcome {
-    /// The run completed (possibly served from cache).
-    Completed {
-        /// The full report.
-        report: Report,
-        /// Canonical report fingerprint ([`elastisim::report_fingerprint`]).
-        report_fingerprint: String,
-    },
+    /// The run completed (possibly served from cache): the report and
+    /// its digest, shared with the result cache.
+    Completed(Arc<CachedRun>),
     /// The run failed with a structured error.
     Failed(RunError),
 }
@@ -96,17 +92,16 @@ impl RunRecord {
     /// The report, if the run completed.
     pub fn report(&self) -> Option<&Report> {
         match &self.outcome {
-            RunOutcome::Completed { report, .. } => Some(report),
+            RunOutcome::Completed(run) => Some(&run.report),
             RunOutcome::Failed(_) => None,
         }
     }
 
-    /// The report fingerprint, if the run completed.
+    /// The report's `rdg1-` digest ([`Report::digest`]), if the run
+    /// completed.
     pub fn report_fingerprint(&self) -> Option<&str> {
         match &self.outcome {
-            RunOutcome::Completed {
-                report_fingerprint, ..
-            } => Some(report_fingerprint),
+            RunOutcome::Completed(run) => Some(&run.digest),
             RunOutcome::Failed(_) => None,
         }
     }
@@ -115,7 +110,7 @@ impl RunRecord {
     pub fn error(&self) -> Option<&RunError> {
         match &self.outcome {
             RunOutcome::Failed(e) => Some(e),
-            RunOutcome::Completed { .. } => None,
+            RunOutcome::Completed(_) => None,
         }
     }
 }
@@ -230,7 +225,7 @@ fn derived_metrics<'a>(records: impl Iterator<Item = &'a RunRecord>) -> MetricsS
     for r in records {
         t.counter_add("campaign.runs", 1);
         match &r.outcome {
-            RunOutcome::Completed { .. } => t.counter_add("campaign.completed", 1),
+            RunOutcome::Completed(_) => t.counter_add("campaign.completed", 1),
             RunOutcome::Failed(RunError::Panicked(_)) => {
                 t.counter_add("campaign.failed", 1);
                 t.counter_add("campaign.panicked", 1);
@@ -448,10 +443,7 @@ fn execute_one(
             scenario_fingerprint,
             cached: true,
             wall_seconds: start.elapsed().as_secs_f64(),
-            outcome: RunOutcome::Completed {
-                report: hit.report.clone(),
-                report_fingerprint: hit.report_fingerprint.clone(),
-            },
+            outcome: RunOutcome::Completed(hit),
             metrics: None,
             postmortem: None,
         };
@@ -487,16 +479,9 @@ fn execute_one(
     }));
     let outcome = match result {
         Ok(Ok(report)) => {
-            let report_fingerprint = report_fingerprint(&report);
-            cache.insert(
-                scenario_fingerprint.clone(),
-                report.clone(),
-                report_fingerprint.clone(),
-            );
-            RunOutcome::Completed {
-                report,
-                report_fingerprint,
-            }
+            let run = Arc::new(CachedRun::new(report));
+            cache.insert(scenario_fingerprint.clone(), Arc::clone(&run));
+            RunOutcome::Completed(run)
         }
         Ok(Err(e)) => RunOutcome::Failed(e),
         Err(payload) => RunOutcome::Failed(RunError::Panicked(panic_message(payload))),
@@ -517,13 +502,11 @@ fn execute_one(
             &telemetry,
             &rlog,
         ),
-        RunOutcome::Completed {
-            report_fingerprint, ..
-        } => {
+        RunOutcome::Completed(run) => {
             rlog.info(
                 "run_finished",
                 &[
-                    field("report_fingerprint", report_fingerprint.as_str()),
+                    field("report_digest", run.digest.as_str()),
                     field("wall_seconds", wall_seconds),
                 ],
             );

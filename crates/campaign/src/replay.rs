@@ -13,7 +13,7 @@
 //! * [`ReplayCampaign`] — the converted artifacts (platform, workload,
 //!   stats) plus the [`run_specs`](ReplayCampaign::run_specs) fan-out.
 //! * [`combined_fingerprint`] — a digest over the per-scheduler report
-//!   fingerprints of a finished replay, the quantity the determinism
+//!   digests of a finished replay, the quantity the determinism
 //!   acceptance check compares across reruns and worker counts.
 //! * [`render_table`] / [`render_markdown`] — the comparison table
 //!   (makespan, mean/p95 wait, bounded slowdown, utilization), in CLI
@@ -22,12 +22,12 @@
 use std::io;
 use std::sync::Arc;
 
-use elastisim::SimConfig;
+use elastisim::{fnv_digest, SimConfig};
 use elastisim_platform::{NodeSpec, PlatformSpec};
 use elastisim_workload::{convert_stream, InjectionConfig, JobSpec, ReplayStats};
 
 use crate::executor::RunRecord;
-use crate::spec::{digest, RunSpec};
+use crate::spec::RunSpec;
 
 /// The full, fingerprintable description of one replay experiment.
 #[derive(Clone, Debug)]
@@ -160,12 +160,12 @@ impl ReplayCampaign {
     /// equal injection + conversion parameters and equal per-scheduler
     /// scenarios.
     pub fn fingerprint(&self) -> String {
-        digest("rfp1", &self.canonical_input())
+        fnv_digest("rfp1", &self.canonical_input())
     }
 }
 
 /// The combined *result* fingerprint of a finished replay: a digest over
-/// each run's scheduler name and report fingerprint, in id order. This
+/// each run's scheduler name and `rdg1-` report digest, in id order. This
 /// is what "deterministic replay" pins — identical across repeated runs
 /// and across any `--workers` count.
 pub fn combined_fingerprint(records: &[RunRecord]) -> String {
@@ -176,7 +176,7 @@ pub fn combined_fingerprint(records: &[RunRecord]) -> String {
         canon.push_str(record.report_fingerprint().unwrap_or("<failed>"));
         canon.push('\n');
     }
-    digest("rep1", &canon)
+    fnv_digest("rep1", &canon)
 }
 
 /// The per-scheduler comparison table for terminal output: one row per

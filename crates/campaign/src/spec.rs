@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use elastisim::SimConfig;
+use elastisim::{fnv_digest, SimConfig};
 use elastisim_platform::PlatformSpec;
 use elastisim_sched::Scheduler;
 use elastisim_workload::JobSpec;
@@ -161,7 +161,7 @@ impl RunSpec {
     /// equal inputs produce byte-identical reports — the soundness basis
     /// of the campaign result cache.
     pub fn fingerprint(&self) -> String {
-        digest("sfp1", &self.canonical_input())
+        fnv_digest("sfp1", &self.canonical_input())
     }
 }
 
@@ -262,29 +262,6 @@ fn canonical_config(cfg: &SimConfig) -> String {
     s
 }
 
-/// A 128-bit FNV-1a digest of `canon`, rendered as
-/// `<prefix>-<32 hex digits>`: the high half is FNV-1a from an offset
-/// basis perturbed by the golden-ratio constant. Shared by every
-/// campaign fingerprint: `sfp1-` here, `rfp1-` and `rep1-` in
-/// [`crate::replay`].
-pub(crate) fn digest(prefix: &str, canon: &str) -> String {
-    let lo = fnv1a(canon.as_bytes(), FNV_OFFSET);
-    let hi = fnv1a(canon.as_bytes(), FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
-    format!("{prefix}-{hi:016x}{lo:016x}")
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], offset: u64) -> u64 {
-    let mut hash = offset;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,9 +317,14 @@ mod tests {
         assert!(!report.jobs.is_empty());
         // And builds are repeatable from the same shared inputs.
         let again = spec.build().expect("valid spec").run();
+        assert_eq!(report.digest(), again.digest());
         assert_eq!(
-            elastisim::report_fingerprint(&report),
-            elastisim::report_fingerprint(&again)
+            (
+                report.events,
+                report.recomputes,
+                report.scheduler_invocations
+            ),
+            (again.events, again.recomputes, again.scheduler_invocations)
         );
     }
 

@@ -4,7 +4,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use elastisim_campaign::{Executor, RunError, RunSpec, SchedulerSpec};
+use elastisim_campaign::{Executor, RunError, RunOutcome, RunSpec, SchedulerSpec};
+
+mod common;
+use common::run_identity;
 
 fn corpus(seeds: std::ops::Range<u64>, schedulers: &[&str]) -> Vec<RunSpec> {
     let mut specs = Vec::new();
@@ -16,30 +19,23 @@ fn corpus(seeds: std::ops::Range<u64>, schedulers: &[&str]) -> Vec<RunSpec> {
     specs
 }
 
-/// The merged report fingerprints of a campaign must be identical at any
-/// worker count — completion order must never leak into the output.
+/// The merged report digests and engine counters of a campaign must be
+/// identical at any worker count — completion order must never leak into
+/// the output.
 #[test]
 fn merged_fingerprints_are_worker_count_independent() {
     let specs = || corpus(0..6, &["fcfs", "easy"]);
-    let baseline: Vec<(u64, String)> = Executor::new(1)
-        .run(specs())
-        .into_iter()
-        .map(|r| {
-            let fp = r
-                .report_fingerprint()
-                .expect("corpus scenarios complete")
-                .to_owned();
-            (r.id, fp)
-        })
-        .collect();
+    let merged = |workers: usize| -> Vec<_> {
+        Executor::new(workers)
+            .run(specs())
+            .iter()
+            .map(|r| (r.id, run_identity(r)))
+            .collect()
+    };
+    let baseline = merged(1);
     assert_eq!(baseline.len(), 12);
     for workers in [2, 8] {
-        let merged: Vec<(u64, String)> = Executor::new(workers)
-            .run(specs())
-            .into_iter()
-            .map(|r| (r.id, r.report_fingerprint().unwrap().to_owned()))
-            .collect();
-        assert_eq!(merged, baseline, "divergence at {workers} workers");
+        assert_eq!(merged(workers), baseline, "divergence at {workers} workers");
     }
 }
 
@@ -83,8 +79,28 @@ fn cache_hits_are_byte_identical_and_skip_execution() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.scenario_fingerprint, b.scenario_fingerprint);
-        assert_eq!(a.report_fingerprint(), b.report_fingerprint());
+        assert_eq!(run_identity(a), run_identity(b));
     }
+}
+
+/// A resubmitted spec's record shares the cached report itself — one
+/// `Arc` per completed run, never a copy — and carries its `rdg1-` digest.
+#[test]
+fn cache_hit_shares_the_cached_report() {
+    let executor = Executor::new(1);
+    let first = executor.run(corpus(0..1, &["easy"]));
+    let second = executor.run(corpus(0..1, &["easy"]));
+    assert!(!first[0].cached && second[0].cached);
+    match (&first[0].outcome, &second[0].outcome) {
+        (RunOutcome::Completed(a), RunOutcome::Completed(b)) => assert!(Arc::ptr_eq(a, b)),
+        other => panic!("expected two completed runs, got {other:?}"),
+    }
+    let digest = second[0].report_fingerprint().expect("completed");
+    assert_eq!(digest, second[0].report().unwrap().digest());
+    assert!(
+        digest.starts_with("rdg1-") && digest.len() == 37,
+        "{digest}"
+    );
 }
 
 /// A panicking scenario becomes a structured `RunError::Panicked` record

@@ -4,10 +4,15 @@
 
 use std::sync::{Arc, Mutex};
 
-use elastisim_campaign::{Executor, Observability, RecorderConfig, RunSpec, SchedulerSpec};
+use elastisim_campaign::{
+    Executor, Observability, RecorderConfig, RunRecord, RunSpec, SchedulerSpec,
+};
 use elastisim_sched::{Decision, Invocation, Scheduler, SystemView};
 use elastisim_telemetry::log::{Level, Logger};
 use serde::Value;
+
+mod common;
+use common::run_identity;
 
 /// Delegates to fcfs until the Nth invocation, then panics — so the
 /// simulation has emitted real events before it dies.
@@ -183,10 +188,11 @@ fn postmortem_ring_is_bounded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Observability attached vs detached: report fingerprints are
-/// byte-identical — the layer is result-neutral by construction.
+/// Observability attached vs detached: report digests and engine
+/// counters are identical — the layer is result-neutral by construction.
 #[test]
 fn observability_is_result_neutral() {
+    let identity = |r: RunRecord| (r.id, run_identity(&r));
     let specs = || -> Vec<RunSpec> {
         (0..4)
             .flat_map(|seed| {
@@ -200,7 +206,7 @@ fn observability_is_result_neutral() {
     let bare: Vec<_> = Executor::new(2)
         .run(specs())
         .into_iter()
-        .map(|r| (r.id, r.report_fingerprint().unwrap().to_owned()))
+        .map(identity)
         .collect();
     let dir = std::env::temp_dir().join(format!("elastisim-pm-neutral-{}", std::process::id()));
     let instrumented: Vec<_> = Executor::new(2)
@@ -214,7 +220,7 @@ fn observability_is_result_neutral() {
         })
         .run(specs())
         .into_iter()
-        .map(|r| (r.id, r.report_fingerprint().unwrap().to_owned()))
+        .map(identity)
         .collect();
     assert_eq!(bare, instrumented);
     let _ = std::fs::remove_dir_all(&dir);

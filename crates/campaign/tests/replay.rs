@@ -8,6 +8,9 @@ use elastisim_campaign::replay::combined_fingerprint;
 use elastisim_campaign::{Executor, ReplaySpec, RunSpec};
 use elastisim_workload::{InjectionConfig, ScalingModel, SwfReader};
 
+mod common;
+use common::run_identity;
+
 fn fixture_prefix(jobs: usize) -> String {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../workload/tests/fixtures/pwa-excerpt.swf");
@@ -55,13 +58,7 @@ fn replay_records_are_identical_at_any_worker_count() {
             combined_fingerprint(&records),
             records
                 .iter()
-                .map(|r| {
-                    (
-                        r.id,
-                        r.scheduler.clone(),
-                        r.report_fingerprint().unwrap().to_owned(),
-                    )
-                })
+                .map(|r| (r.id, r.scheduler.clone(), run_identity(r)))
                 .collect::<Vec<_>>(),
         )
     };
@@ -109,9 +106,9 @@ fn frac_zero_report_fingerprints_match_the_rigid_conversion() {
     let replayed = Executor::new(1).run(campaign.run_specs());
     let manual_records = Executor::new(1).run(vec![manual]);
     assert_eq!(
-        replayed[0].report_fingerprint().unwrap(),
-        manual_records[0].report_fingerprint().unwrap(),
-        "frac-0 replay and rigid conversion must produce byte-identical reports"
+        run_identity(&replayed[0]),
+        run_identity(&manual_records[0]),
+        "frac-0 replay and rigid conversion must produce identical reports and engine counters"
     );
 }
 

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use elastisim_campaign::{
     aggregate_by_scheduler, campaign_specs, CampaignEvent, CampaignResult, Executor, Observability,
-    RecorderConfig, RunRecord, RunSpec, SeedRange,
+    RecorderConfig, RunOutcome, RunRecord, RunSpec, SeedRange,
 };
 use elastisim_telemetry::{prom, MetricsSnapshot};
 
@@ -163,27 +163,26 @@ fn record_json(record: &RunRecord) -> String {
         record.cached,
         record.report().is_some(),
     );
-    match (record.report(), record.error()) {
-        (Some(report), _) => {
-            let summary = report.summary();
+    match &record.outcome {
+        RunOutcome::Completed(run) => {
+            let summary = run.report.summary();
             let _ = write!(
                 line,
-                ",\"makespan\":{},\"utilization\":{},\"mean_wait\":{},\"mean_bounded_slowdown\":{},\"report_fingerprint_len\":{}",
+                ",\"makespan\":{},\"utilization\":{},\"mean_wait\":{},\"mean_bounded_slowdown\":{},\"report_digest\":\"{}\"",
                 summary.makespan,
                 summary.utilization,
                 summary.mean_wait,
                 summary.mean_bounded_slowdown,
-                record.report_fingerprint().map_or(0, str::len),
+                run.digest,
             );
         }
-        (None, Some(error)) => {
+        RunOutcome::Failed(error) => {
             let _ = write!(
                 line,
                 ",\"error\":{}",
                 serde_json::to_string(&error.to_string()).expect("string")
             );
         }
-        (None, None) => unreachable!("a record is either completed or failed"),
     }
     line.push('}');
     line
@@ -320,11 +319,15 @@ mod tests {
         assert_eq!(lines.len(), 6);
         for line in &lines {
             let v: serde::Value = serde_json::from_str(line).expect("valid JSONL");
-            let serde::Value::Map(m) = v else {
+            let serde::Value::Map(mut m) = v else {
                 panic!("record not an object")
             };
             assert!(m.iter().any(|(k, _)| k == "fingerprint"));
             assert!(m.iter().any(|(k, _)| k == "makespan"));
+            match serde::map_take(&mut m, "report_digest") {
+                Some(serde::Value::Str(d)) => assert!(d.starts_with("rdg1-") && d.len() == 37),
+                other => panic!("report_digest: {other:?}"),
+            }
         }
         fs::remove_dir_all(dir).unwrap();
     }
@@ -396,6 +399,7 @@ mod tests {
             "{log_text}"
         );
         assert!(log_text.contains("\"run_id\":"), "{log_text}");
+        assert!(log_text.contains("\"report_digest\":\"rdg1-"), "{log_text}");
         for line in log_text.lines() {
             serde_json::parse_value(line).expect("valid log JSONL");
         }

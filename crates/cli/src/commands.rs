@@ -356,7 +356,10 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
             )
             .into());
         }
-        let timeout = args.num("scheduler-timeout", 10.0)?;
+        let timeout = args.num(
+            "scheduler-timeout",
+            ExternalProcess::DEFAULT_TIMEOUT.as_secs_f64(),
+        )?;
         if !timeout.is_finite() || timeout <= 0.0 {
             return Err(UsageError("--scheduler-timeout must be > 0".into()).into());
         }
@@ -595,6 +598,16 @@ mod tests {
         ));
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn help_states_the_scheduler_timeout_default() {
+        let help = HELP.split_whitespace().collect::<Vec<_>>().join(" ");
+        let stated = format!(
+            "--scheduler-timeout (default {} s)",
+            ExternalProcess::DEFAULT_TIMEOUT.as_secs_f64()
+        );
+        assert!(help.contains(&stated), "HELP must say `{stated}`");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use invariant::{InvariantChecker, InvariantViolation};
 pub use observe::{EventTraceWriter, Observer, SimEvent, TimedObserver};
 pub use recorder::FlightRecorder;
 pub use stats::{
-    report_fingerprint, GanttEntry, JobRecord, Outcome, Report, Summary, UtilizationSeries,
-    Warning, WarningKind,
+    fnv_digest, GanttEntry, JobRecord, Outcome, Report, Summary, UtilizationSeries, Warning,
+    WarningKind,
 };
 pub use trace::{gantt_csv, jobs_csv, utilization_csv};

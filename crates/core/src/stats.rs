@@ -232,9 +232,9 @@ pub struct Summary {
 
 /// Full result of one simulation run.
 ///
-/// Serializes to JSON in full — the conformance harness pins golden
-/// snapshots of it and uses the serialized form as a determinism
-/// fingerprint (equal seeds must give byte-identical reports).
+/// Serializes to JSON in full. Its *answer* is everything but the three
+/// engine counters (`events`, `recomputes`, `scheduler_invocations`):
+/// [`Report::fingerprint`] renders it and [`Report::digest`] hashes it.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Report {
     /// Per-job records, ascending id.
@@ -332,14 +332,21 @@ impl Report {
         s
     }
 
-    /// The canonical determinism fingerprint of this report: its full
-    /// pretty-printed JSON serialization. Two runs are equivalent iff
-    /// their fingerprints are byte-identical. This is the single
-    /// implementation shared by the conformance goldens and the campaign
-    /// result cache — the cache is sound precisely because the
-    /// determinism oracles pin same-scenario ⇒ same-fingerprint.
+    /// The report's answer as pretty-printed JSON: the whole report
+    /// without its engine counters, which change whenever the engine does
+    /// the same work differently. The golden snapshots pin this text.
     pub fn fingerprint(&self) -> String {
-        report_fingerprint(self)
+        serde_json::to_string_pretty(&Answer(self)).expect("report serialization cannot fail")
+    }
+
+    /// The canonical result digest, `rdg1-<32 hex>`: equal digests mean
+    /// equal answers (see [`fingerprint`](Self::fingerprint)). The
+    /// determinism oracles, the campaign records and the replay
+    /// fingerprint all compare this.
+    pub fn digest(&self) -> String {
+        let answer =
+            serde_json::to_string(&Answer(self)).expect("report serialization cannot fail");
+        fnv_digest("rdg1", &answer)
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1, nearest-rank) of a per-job metric over
@@ -356,11 +363,43 @@ impl Report {
     }
 }
 
-/// Serializes the full report as a deterministic fingerprint: two runs
-/// are equivalent iff their fingerprints are byte-identical. Free-function
-/// form of [`Report::fingerprint`]; `simtest::fingerprint` re-exports it.
-pub fn report_fingerprint(report: &Report) -> String {
-    serde_json::to_string_pretty(report).expect("report serialization cannot fail")
+/// A [`Report`] serialized without its engine counters.
+struct Answer<'a>(&'a Report);
+
+impl Serialize for Answer<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut value = serde::to_value(self.0).map_err(serde::ser::Error::custom)?;
+        if let serde::Value::Map(fields) = &mut value {
+            fields.retain(|(name, _)| {
+                !matches!(
+                    name.as_str(),
+                    "events" | "recomputes" | "scheduler_invocations"
+                )
+            });
+        }
+        serializer.serialize_value(value)
+    }
+}
+
+/// A 128-bit FNV-1a digest of `canon`, rendered `<prefix>-<32 hex>`: the
+/// low half is FNV-1a, the high half FNV-1a from an offset basis perturbed
+/// by the golden-ratio constant. Shared by the report digest (`rdg1-`)
+/// and the campaign fingerprints (`sfp1-`, `rfp1-`, `rep1-`).
+pub fn fnv_digest(prefix: &str, canon: &str) -> String {
+    let (hi, lo) = fnv1a(canon.as_bytes());
+    format!("{prefix}-{hi:016x}{lo:016x}")
+}
+
+fn fnv1a(bytes: &[u8]) -> (u64, u64) {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let start = (OFFSET ^ 0x9E37_79B9_7F4A_7C15, OFFSET);
+    bytes.iter().fold(start, |(hi, lo), &b| {
+        (
+            (hi ^ b as u64).wrapping_mul(PRIME),
+            (lo ^ b as u64).wrapping_mul(PRIME),
+        )
+    })
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -486,6 +525,82 @@ mod tests {
         assert_eq!(report.quantile(1.0, |j| j.wait()), Some(9.0));
         assert_eq!(report.quantile(0.5, |j| j.wait()), Some(5.0)); // round(4.5)=5
         assert_eq!(Report::default().quantile(0.5, |j| j.wait()), None);
+    }
+
+    fn answered() -> Report {
+        let mut utilization = UtilizationSeries::default();
+        utilization.record(0.0, 2);
+        utilization.record(100.0, 0);
+        Report {
+            jobs: vec![record(1, 0.0, 0.0, 100.0)],
+            utilization,
+            gantt: vec![GanttEntry {
+                job: JobId(1),
+                node: NodeId(0),
+                from: 0.0,
+                to: 100.0,
+            }],
+            events: 7,
+            recomputes: 5,
+            scheduler_invocations: 3,
+            warnings: vec![Warning {
+                time: 1.0,
+                job: None,
+                kind: WarningKind::NoProgress,
+                message: "stuck".into(),
+            }],
+            total_nodes: 4,
+        }
+    }
+
+    #[test]
+    fn digest_ignores_engine_counters() {
+        let base = answered();
+        let digest = base.digest();
+        assert!(digest.starts_with("rdg1-"), "{digest}");
+        assert_eq!(digest.len(), "rdg1-".len() + 32);
+        let counters: [fn(&mut Report); 3] = [
+            |r| r.events += 1,
+            |r| r.recomputes += 1,
+            |r| r.scheduler_invocations += 1,
+        ];
+        for bump in counters {
+            let mut r = base.clone();
+            bump(&mut r);
+            assert_eq!(r.digest(), digest);
+            assert_eq!(r.fingerprint(), base.fingerprint());
+        }
+        let text = base.fingerprint();
+        for counter in ["events", "recomputes", "scheduler_invocations"] {
+            assert!(!text.contains(counter), "{counter} in {text}");
+        }
+    }
+
+    #[test]
+    fn digest_moves_with_the_answer() {
+        let base = answered();
+        let answers: [fn(&mut Report); 5] = [
+            |r| r.jobs[0].end = Some(101.0),
+            |r| r.utilization.points[1].0 = 99.0,
+            |r| r.gantt[0].to = 99.0,
+            |r| r.warnings[0].message.push('!'),
+            |r| r.total_nodes += 1,
+        ];
+        for change in answers {
+            let mut r = base.clone();
+            change(&mut r);
+            assert_ne!(r.digest(), base.digest(), "{}", r.fingerprint());
+        }
+    }
+
+    #[test]
+    fn fnv_digest_is_pinned() {
+        // FNV-1a's published 64-bit value for "a" is the low half.
+        assert_eq!(
+            fnv_digest("x", "a"),
+            format!("x-{:016x}af63dc4c8601ec8c", fnv1a(b"a").0)
+        );
+        assert_eq!(fnv1a(b"").1, 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

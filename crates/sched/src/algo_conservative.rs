@@ -40,14 +40,7 @@ fn place(profile: &mut Vec<ProfileStep>, now: f64, size: usize, walltime: f64) -
         debug_assert!(idx < profile.len());
         let start = profile[idx].time.max(now);
         let end = start + walltime;
-        // Check capacity over [start, end).
-        let ok = profile
-            .iter()
-            .filter(|s| s.time < end)
-            .skip_while(|s| s.time <= start && s.free >= size) // leading steps before start checked below
-            .all(|_| true);
-        let _ = ok;
-        // Simpler correct check: every step overlapping [start, end) has
+        // Check capacity over [start, end): every step overlapping it has
         // `free ≥ size`. A step overlaps if step.time < end and the next
         // step's time > start.
         let mut fits = true;
@@ -65,8 +58,7 @@ fn place(profile: &mut Vec<ProfileStep>, now: f64, size: usize, walltime: f64) -
             if end.is_finite() {
                 split_at(profile, end);
             }
-            for (i, s) in profile.iter_mut().enumerate() {
-                let _ = i;
+            for s in profile.iter_mut() {
                 if s.time >= start && (s.time < end) {
                     s.free -= size;
                 }

@@ -23,8 +23,9 @@ pub struct EasyBackfilling {
 /// (moldable, malleable).
 #[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizingPolicy {
-    /// As many nodes as available, up to the job's maximum. Maximizes each
-    /// job's speed but starves the queue behind it.
+    /// As many nodes as available, up to the job's maximum
+    /// ([`JobView::start_size`](crate::api::JobView::start_size)).
+    /// Maximizes each job's speed but starves the queue behind it.
     #[default]
     Greedy,
     /// An equal share of the free nodes among the waiting jobs (clamped to
@@ -43,18 +44,14 @@ impl SizingPolicy {
         free: usize,
         waiting: usize,
     ) -> Option<usize> {
-        if let Some(fixed) = job.fixed_start {
-            return (free >= fixed as usize).then_some(fixed as usize);
+        if self == SizingPolicy::Greedy || job.fixed_start.is_some() {
+            return job.start_size(free);
         }
         if free < job.min_nodes as usize {
             return None;
         }
-        let target = match self {
-            SizingPolicy::Greedy => job.max_nodes as usize,
-            SizingPolicy::EqualShare => free / waiting.max(1),
-        };
         Some(
-            target
+            (free / waiting.max(1))
                 .clamp(job.min_nodes as usize, job.max_nodes as usize)
                 .min(free),
         )

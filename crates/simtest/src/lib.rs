@@ -14,11 +14,12 @@
 //!    full platform × workload × configuration combination from one `u64`.
 //!    No ambient randomness: a failing seed printed in a test message
 //!    reproduces the run exactly.
-//! 3. **Determinism oracles** — [`fingerprint`] serializes a whole
-//!    [`elastisim::Report`] so equal seeds can be checked for byte-equal
-//!    results, across schedulers and across transports; golden snapshots
-//!    pin one canonical run per scheduler (see `tests/golden.rs`,
-//!    regenerate with `UPDATE_GOLDEN=1`).
+//! 3. **Determinism oracles** — equal seeds must give equal
+//!    [`elastisim::Report::digest`]s and equal engine counters, across
+//!    schedulers and across transports; golden snapshots pin one
+//!    canonical run per scheduler (see `tests/golden.rs`, regenerate with
+//!    `UPDATE_GOLDEN=1`), and `tests/golden/engine_counters.txt` pins
+//!    the counters the digest leaves out.
 //! 4. **View oracle** — [`ViewOracle`] rebuilds the queued and running
 //!    job sets, and each running job's nodes, from the event stream and
 //!    checks them against every [`SystemView`] the scheduler is shown.
@@ -37,10 +38,8 @@ pub use scenario::{ConformanceRun, Scenario};
 use elastisim_platform::NodeId;
 use elastisim_sched::{Decision, Invocation, Scheduler, SystemView};
 
-/// The canonical report fingerprint, re-exported from
-/// [`elastisim::report_fingerprint`] so the conformance suite and the
-/// campaign result cache key runs identically.
-pub use elastisim::report_fingerprint as fingerprint;
+/// The seed of the golden scenario every scheduler's snapshot runs.
+pub const GOLDEN_SEED: u64 = 0xE1A5_7151;
 
 /// Compares `actual` against the golden snapshot at `path`, or rewrites the
 /// snapshot when the `UPDATE_GOLDEN` environment variable is set.

@@ -1,5 +1,8 @@
-//! Golden snapshot suite: one canonical scenario per scheduler, with the
-//! full report JSON pinned under `tests/golden/`.
+//! Golden snapshot suite: one canonical scenario ([`GOLDEN_SEED`]) per
+//! scheduler — same platform, same workload, different policies — with
+//! the report's answer ([`elastisim::Report::fingerprint`]) pinned under
+//! `tests/golden/`. The engine counters it leaves out are pinned in
+//! `tests/golden/engine_counters.txt` (see `tests/replay.rs`).
 //!
 //! These snapshots are the cross-version determinism oracle: any change to
 //! engine semantics, event ordering, or report accounting shows up as a
@@ -7,12 +10,8 @@
 //! `UPDATE_GOLDEN=1 cargo test -p simtest --test golden`.
 
 use elastisim_sched::SCHEDULER_NAMES;
-use simtest::{assert_matches_golden, fingerprint, scenario::run_checked, Scenario};
+use simtest::{assert_matches_golden, scenario::run_checked, Scenario, GOLDEN_SEED};
 use std::path::PathBuf;
-
-/// One fixed scenario shared by all five schedulers so the snapshots are
-/// directly comparable: same platform, same workload, different policies.
-const GOLDEN_SEED: u64 = 0xE1A5_7151;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,7 +29,7 @@ fn reports_match_golden_snapshots() {
             "golden scenario must be invariant-clean under `{name}`: {:?}",
             run.violations
         );
-        assert_matches_golden(&golden_path(name), &fingerprint(&run.report));
+        assert_matches_golden(&golden_path(name), &run.report.fingerprint());
     }
 }
 
@@ -42,7 +41,7 @@ fn golden_scenario_distinguishes_schedulers() {
     let scenario = Scenario::from_seed(GOLDEN_SEED);
     let prints: std::collections::HashSet<String> = SCHEDULER_NAMES
         .iter()
-        .map(|name| fingerprint(&run_checked(&scenario, name).report))
+        .map(|name| run_checked(&scenario, name).report.digest())
         .collect();
     assert!(
         prints.len() >= 2,

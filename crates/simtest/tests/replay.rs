@@ -3,8 +3,10 @@
 //!
 //! 1. **Per-scheduler goldens** — every scheduler replays the full
 //!    excerpt at `--malleable-frac 0.3 --seed 42` and its summary +
-//!    report digest is pinned under `tests/golden/replay/`. Regenerate
-//!    with `UPDATE_GOLDEN=1 cargo test -p simtest --test replay`.
+//!    report digest is pinned under `tests/golden/replay/`; its engine
+//!    counters, with those of the golden scenario, are pinned in
+//!    `tests/golden/engine_counters.txt`. Regenerate with
+//!    `UPDATE_GOLDEN=1 cargo test -p simtest --test replay`.
 //! 2. **Monotone injection** — on a compute-only trace with free
 //!    reconfiguration, converting more of the workload to malleable
 //!    (frac 0 → 0.3 → 1.0) never increases the makespan under the
@@ -28,7 +30,7 @@ use elastisim::{
 use elastisim_platform::{NodeSpec, PlatformSpec};
 use elastisim_sched::{Decision, Invocation, JobState, Scheduler, SystemView, SCHEDULER_NAMES};
 use elastisim_workload::{convert_stream, InjectionConfig, JobSpec, ScalingModel};
-use simtest::{assert_matches_golden, fingerprint};
+use simtest::{assert_matches_golden, scenario::run_checked, Scenario, GOLDEN_SEED};
 
 fn fixture_text() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -100,24 +102,15 @@ fn replay_workload(trace: &str, cfg: &InjectionConfig) -> (Vec<JobSpec>, Platfor
     (jobs, platform)
 }
 
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The pinned golden payload: a digest of the full report fingerprint
-/// (byte-level determinism) plus the headline summary metrics (human
-/// reviewability of what actually changed when the digest moves).
+/// The pinned golden payload: the report digest (the whole answer) plus
+/// the headline summary metrics (human reviewability of what actually
+/// changed when the digest moves).
 fn golden_payload(report: &Report) -> String {
     let s = report.summary();
     format!(
-        "report-digest: {:016x}\ncompleted: {}\nkilled: {}\nmakespan: {:?}\n\
+        "report-digest: {}\ncompleted: {}\nkilled: {}\nmakespan: {:?}\n\
          mean_wait: {:?}\np95_wait: {:?}\nmean_bounded_slowdown: {:?}\nutilization: {:?}\n",
-        fnv1a(&fingerprint(report)),
+        report.digest(),
         s.completed,
         s.killed,
         s.makespan,
@@ -134,10 +127,32 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
+/// One `engine_counters.txt` row: the counters the report digest leaves
+/// out.
+fn counters_row(scenario: &str, scheduler: &str, report: &Report) -> String {
+    format!(
+        "{scenario:<12} {scheduler:<13} {:>8} {:>11} {:>22}\n",
+        report.events, report.recomputes, report.scheduler_invocations
+    )
+}
+
 /// Satellite: per-scheduler golden replay reports on the committed
 /// excerpt. `UPDATE_GOLDEN=1` rewrites the snapshots.
+///
+/// The same runs pin the engine counters (`events`, `recomputes`,
+/// `scheduler_invocations`) in `engine_counters.txt`, beside those of
+/// every scheduler on the golden scenario. They describe how the engine
+/// got the answer, not the answer, so the report goldens leave them out.
 #[test]
 fn excerpt_replay_matches_golden_snapshots() {
+    let mut counters = format!(
+        "{:<12} {:<13} {:>8} {:>11} {:>22}\n",
+        "# scenario", "scheduler", "events", "recomputes", "scheduler_invocations"
+    );
+    let golden = Scenario::from_seed(GOLDEN_SEED);
+    for name in SCHEDULER_NAMES {
+        counters += &counters_row("golden", name, &run_checked(&golden, name).report);
+    }
     let trace = fixture_text();
     let cfg = injection(0.3, 42);
     for name in SCHEDULER_NAMES {
@@ -147,7 +162,10 @@ fn excerpt_replay_matches_golden_snapshots() {
             "excerpt replay must be invariant-clean under `{name}`: {violations:?}"
         );
         assert_matches_golden(&golden_path(name), &golden_payload(&report));
+        counters += &counters_row("pwa-excerpt", name, &report);
     }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_counters.txt");
+    assert_matches_golden(&path, &counters);
 }
 
 /// FNV-1a taken a 64-bit word per step instead of a byte: the running
@@ -250,12 +268,12 @@ fn excerpt_view_stream_matches_recorded_digest() {
 fn excerpt_replay_distinguishes_schedulers() {
     let trace = fixture_prefix(&fixture_text(), 150);
     let cfg = injection(0.3, 42);
-    let digests: std::collections::HashSet<u64> = SCHEDULER_NAMES
+    let digests: std::collections::HashSet<String> = SCHEDULER_NAMES
         .iter()
         .map(|name| {
-            fnv1a(&fingerprint(
-                &run_replay(&trace, &cfg, name, SimConfig::default()).0,
-            ))
+            run_replay(&trace, &cfg, name, SimConfig::default())
+                .0
+                .digest()
         })
         .collect();
     assert!(

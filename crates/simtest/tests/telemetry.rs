@@ -11,17 +11,17 @@ use elastisim::{ChromeTraceWriter, FlightRecorder, Simulation};
 use elastisim_sched::SCHEDULER_NAMES;
 use elastisim_telemetry::Telemetry;
 use proptest::prelude::*;
-use simtest::{fingerprint, Scenario};
+use simtest::Scenario;
 
 /// Runs `scenario` bare, or with full telemetry (registry + timeline +
 /// Chrome exporter into a sink) and/or the flight-recorder ring
-/// attached, and fingerprints the report.
+/// attached, and returns the report's digest beside its engine counters.
 fn run_fingerprint(
     scenario: &Scenario,
     scheduler: &str,
     telemetry: bool,
     recorder: bool,
-) -> String {
+) -> (String, u64, u64, u64) {
     let sched = elastisim_sched::by_name(scheduler)
         .unwrap_or_else(|| panic!("unknown scheduler `{scheduler}`"));
     let mut sim = Simulation::new(
@@ -40,7 +40,13 @@ fn run_fingerprint(
     if let Some(rec) = &rec {
         sim.add_observer(rec.observer());
     }
-    let fp = fingerprint(&sim.run());
+    let report = sim.run();
+    let fp = (
+        report.digest(),
+        report.events,
+        report.recomputes,
+        report.scheduler_invocations,
+    );
     if let Some(rec) = &rec {
         assert!(rec.events_seen() > 0, "recorder saw no events");
     }
