@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use elastisim_campaign::{Executor, Observability, RecorderConfig, RunSpec};
+use elastisim_campaign::{Executor, Observability, RunSpec};
 use elastisim_des::{ActivitySpec, ResourceId, Simulator};
 use elastisim_telemetry::log::{Level, Logger};
 use elastisim_telemetry::Telemetry;
@@ -144,18 +144,15 @@ fn sweep_arm(seeds: u64, workers: usize, observed: bool) -> f64 {
         executor = executor.with_observability(Observability {
             logger: Logger::to_writer(std::io::sink(), Level::Debug),
             collect_metrics: true,
-            recorder: Some(RecorderConfig {
-                dir: std::env::temp_dir().join("elastisim-overhead-pm"),
-                ring_capacity: 256,
-            }),
+            recorder: Some(std::env::temp_dir().join("elastisim-overhead-pm")),
         });
     }
-    let result = executor.run_campaign(specs);
+    let records = executor.run(specs);
     assert!(
-        result.records.iter().all(|r| r.report().is_some()),
+        records.iter().all(|r| r.report().is_some()),
         "sweep arm had failures"
     );
-    result.records.iter().map(|r| r.wall_seconds).sum()
+    records.iter().map(|r| r.wall_seconds).sum()
 }
 
 /// Best-of-`reps` wall time for the campaign path, with the arm order

@@ -115,7 +115,7 @@ impl RunRecord {
     }
 }
 
-/// Progress callbacks from [`Executor::run_with`], delivered on the
+/// Progress callbacks from [`Executor::run_campaign_with`], delivered on the
 /// submitting thread in completion order (the merged result stays
 /// id-ordered regardless).
 #[derive(Debug)]
@@ -129,24 +129,6 @@ pub enum CampaignEvent<'a> {
     },
     /// A run finished (completed, cached, or failed).
     RunFinished(&'a RunRecord),
-}
-
-/// Flight-recorder configuration for the executor.
-#[derive(Clone, Debug)]
-pub struct RecorderConfig {
-    /// Directory post-mortem dumps are written into (created on demand).
-    pub dir: PathBuf,
-    /// How many trailing [`elastisim::SimEvent`]s each run retains.
-    pub ring_capacity: usize,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig {
-            dir: PathBuf::from("."),
-            ring_capacity: elastisim::recorder::DEFAULT_RING_CAPACITY,
-        }
-    }
 }
 
 /// Observability options for an [`Executor`] — all off by default, and
@@ -164,8 +146,9 @@ pub struct Observability {
     /// [`RunRecord`], feeding campaign-level aggregation.
     pub collect_metrics: bool,
     /// Attach a flight recorder to every executed run and dump a
-    /// post-mortem JSON file when the run fails or panics.
-    pub recorder: Option<RecorderConfig>,
+    /// post-mortem JSON file into this directory (created on demand) when
+    /// the run fails or panics.
+    pub recorder: Option<PathBuf>,
 }
 
 /// A finished campaign: id-ordered records plus metric aggregation.
@@ -251,7 +234,7 @@ fn derived_metrics<'a>(records: impl Iterator<Item = &'a RunRecord>) -> MetricsS
 
 /// Work-queue executor over an owned pool of `workers` threads.
 ///
-/// The pool is per-call: [`run_with`](Executor::run_with) spawns its
+/// The pool is per-call: [`run_campaign_with`](Executor::run_campaign_with) spawns its
 /// workers, drains the queue, joins them, and returns — no detached
 /// threads outlive the call. The [`ResultCache`] *does* persist across
 /// calls, so resubmitting a scenario to the same executor answers it
@@ -292,27 +275,12 @@ impl Executor {
 
     /// Runs the campaign and returns records merged ascending by spec id.
     pub fn run(&self, specs: Vec<RunSpec>) -> Vec<RunRecord> {
-        self.run_with(specs, |_| {})
+        self.run_campaign_with(specs, |_| {}).records
     }
 
     /// Runs the campaign, invoking `on_event` (on this thread) as runs
-    /// start and finish. Returns records merged ascending by spec id,
-    /// independent of completion order.
-    pub fn run_with(
-        &self,
-        specs: Vec<RunSpec>,
-        on_event: impl FnMut(&CampaignEvent),
-    ) -> Vec<RunRecord> {
-        self.run_campaign_with(specs, on_event).records
-    }
-
-    /// [`run_with`](Self::run_with) returning the full [`CampaignResult`]
-    /// with metric aggregation.
-    pub fn run_campaign(&self, specs: Vec<RunSpec>) -> CampaignResult {
-        self.run_campaign_with(specs, |_| {})
-    }
-
-    /// Runs the campaign and returns the full [`CampaignResult`].
+    /// start and finish, and returns the full [`CampaignResult`]: records
+    /// merged ascending by spec id, independent of completion order.
     pub fn run_campaign_with(
         &self,
         specs: Vec<RunSpec>,
@@ -463,10 +431,7 @@ fn execute_one(
     } else {
         Telemetry::disabled()
     };
-    let recorder = obs
-        .recorder
-        .as_ref()
-        .map(|cfg| FlightRecorder::new(cfg.ring_capacity));
+    let recorder = obs.recorder.as_ref().map(|_| FlightRecorder::new());
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<Report, RunError> {
         let mut sim = spec.build().map_err(RunError::Setup)?;
         if instrument {
@@ -547,11 +512,14 @@ fn write_postmortem(
         "run_failed",
         &[field("reason", reason), field("message", err.to_string())],
     );
-    let (rec, cfg) = match (recorder, &obs.recorder) {
-        (Some(rec), Some(cfg)) => (rec, cfg),
-        _ => return None,
+    let (Some(rec), Some(dir)) = (recorder, &obs.recorder) else {
+        return None;
     };
-    let json = rec.postmortem_json(
+    rec.write_postmortem(
+        &dir.join(format!(
+            "postmortem-run{}-{scenario_fingerprint}.json",
+            spec.id
+        )),
         reason,
         &err.to_string(),
         &[
@@ -561,26 +529,8 @@ fn write_postmortem(
             ("fingerprint", Value::Str(scenario_fingerprint.to_owned())),
         ],
         &telemetry.snapshot(),
-    );
-    let path = cfg.dir.join(format!(
-        "postmortem-run{}-{scenario_fingerprint}.json",
-        spec.id
-    ));
-    let written =
-        std::fs::create_dir_all(&cfg.dir).and_then(|()| std::fs::write(&path, json.as_bytes()));
-    match written {
-        Ok(()) => {
-            rlog.error(
-                "postmortem_written",
-                &[field("path", path.display().to_string())],
-            );
-            Some(path)
-        }
-        Err(e) => {
-            rlog.error("postmortem_write_failed", &[field("error", e.to_string())]);
-            None
-        }
-    }
+        rlog,
+    )
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

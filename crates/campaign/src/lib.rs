@@ -40,8 +40,8 @@ pub mod spec;
 
 pub use cache::{CachedRun, ResultCache};
 pub use executor::{
-    aggregate_by_scheduler, CampaignEvent, CampaignResult, Executor, Observability, RecorderConfig,
-    RunError, RunOutcome, RunRecord, SchedulerAggregate,
+    aggregate_by_scheduler, CampaignEvent, CampaignResult, Executor, Observability, RunError,
+    RunOutcome, RunRecord, SchedulerAggregate,
 };
 pub use replay::{combined_fingerprint, ReplayCampaign, ReplaySpec};
 pub use spec::{campaign_specs, RunSpec, SchedulerSpec, SeedRange};

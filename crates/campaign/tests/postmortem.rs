@@ -4,9 +4,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use elastisim_campaign::{
-    Executor, Observability, RecorderConfig, RunRecord, RunSpec, SchedulerSpec,
-};
+use elastisim::recorder::RING_CAPACITY;
+use elastisim_campaign::{Executor, Observability, RunRecord, RunSpec, SchedulerSpec};
 use elastisim_sched::{Decision, Invocation, Scheduler, SystemView};
 use elastisim_telemetry::log::{Level, Logger};
 use serde::Value;
@@ -53,6 +52,21 @@ fn saboteur_spec(id: u64, fuse: usize) -> RunSpec {
     }
 }
 
+/// A saboteur over `jobs` generated jobs whose fuse blows on invocation
+/// `jobs`: the submits and completions of that many jobs take more than
+/// `jobs` invocations, so the run dies mid-way.
+fn long_saboteur_spec(id: u64, jobs: usize) -> RunSpec {
+    let spec = saboteur_spec(id, jobs);
+    let workload = elastisim_workload::WorkloadConfig::new(jobs)
+        .with_platform_nodes(spec.platform.num_nodes() as u32)
+        .with_seed(id)
+        .generate();
+    RunSpec {
+        workload: Arc::new(workload),
+        ..spec
+    }
+}
+
 /// A `Vec<u8>` sink shareable with the logger under test.
 #[derive(Clone, Default)]
 struct Buf(Arc<Mutex<Vec<u8>>>);
@@ -82,15 +96,12 @@ fn panicking_run_dumps_a_postmortem() {
     let obs = Observability {
         logger: Logger::to_writer(logbuf.clone(), Level::Debug).with("campaign", "pm-test"),
         collect_metrics: true,
-        recorder: Some(RecorderConfig {
-            dir: dir.clone(),
-            ring_capacity: 64,
-        }),
+        recorder: Some(dir.clone()),
     };
     let executor = Executor::new(2).with_observability(obs);
     let mut specs = vec![saboteur_spec(0, 3)];
     specs.push(RunSpec::from_seed(1, 1, "fcfs"));
-    let result = executor.run_campaign(specs);
+    let result = executor.run_campaign_with(specs, |_| {});
 
     // The failed record points at the dump; the healthy run has metrics.
     let failed = &result.records[0];
@@ -153,7 +164,7 @@ fn panicking_run_dumps_a_postmortem() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ring is bounded: a long run trims to the configured capacity and
+/// The ring is bounded: a long run trims to the ring capacity and
 /// reports the true events_seen count.
 #[test]
 fn postmortem_ring_is_bounded() {
@@ -162,28 +173,26 @@ fn postmortem_ring_is_bounded() {
     let executor = Executor::new(1).with_observability(Observability {
         logger: Logger::disabled(),
         collect_metrics: false,
-        recorder: Some(RecorderConfig {
-            dir: dir.clone(),
-            ring_capacity: 4,
-        }),
+        recorder: Some(dir.clone()),
     });
-    // Blow the fuse late enough that more than 4 events precede it.
-    let result = executor.run_campaign(vec![saboteur_spec(0, 8)]);
-    let path = result.records[0].postmortem.as_ref().expect("dump written");
+    // Blow the fuse late enough that more than RING_CAPACITY events
+    // precede it.
+    let result = executor.run(vec![long_saboteur_spec(0, RING_CAPACITY + 3)]);
+    let path = result[0].postmortem.as_ref().expect("dump written");
     let mut map = take_map(
         serde_json::parse_value(&std::fs::read_to_string(path).unwrap()).expect("valid JSON"),
     );
     let Some(Value::Seq(events)) = serde::map_take(&mut map, "events") else {
         panic!("events missing");
     };
-    assert_eq!(events.len(), 4, "ring trimmed to capacity");
+    assert_eq!(events.len(), RING_CAPACITY, "ring trimmed to capacity");
     match serde::map_take(&mut map, "events_seen") {
-        Some(Value::Num(seen)) => assert!(seen > 4.0, "seen={seen}"),
+        Some(Value::Num(seen)) => assert!(seen >= (RING_CAPACITY + 2) as f64, "seen={seen}"),
         other => panic!("events_seen missing: {other:?}"),
     }
     assert_eq!(
         serde::map_take(&mut map, "ring_capacity"),
-        Some(Value::Num(4.0))
+        Some(Value::Num(RING_CAPACITY as f64))
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -213,10 +222,7 @@ fn observability_is_result_neutral() {
         .with_observability(Observability {
             logger: Logger::to_writer(std::io::sink(), Level::Debug),
             collect_metrics: true,
-            recorder: Some(RecorderConfig {
-                dir: dir.clone(),
-                ring_capacity: 32,
-            }),
+            recorder: Some(dir.clone()),
         })
         .run(specs())
         .into_iter()
@@ -240,7 +246,7 @@ fn campaign_metrics_aggregate_per_scheduler() {
         collect_metrics: true,
         ..Observability::default()
     });
-    let result = executor.run_campaign(specs);
+    let result = executor.run_campaign_with(specs, |_| {});
     let merged = result.merged_metrics();
     assert_eq!(merged.counter("campaign.runs"), Some(6));
     assert_eq!(merged.counter("campaign.completed"), Some(6));
@@ -279,7 +285,7 @@ fn counts_cached_runs_in_campaign_metrics() {
         collect_metrics: true,
         ..Observability::default()
     });
-    let result = executor.run_campaign(specs);
+    let result = executor.run_campaign_with(specs, |_| {});
     let merged = result.merged_metrics();
     // Same scenario three times: one executed, two served from cache.
     assert_eq!(merged.counter("campaign.runs"), Some(3));

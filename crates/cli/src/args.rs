@@ -87,6 +87,15 @@ impl Args {
         }
     }
 
+    /// A numeric option with a default that must be finite and `> 0`.
+    pub fn positive(&self, key: &str, default: f64) -> Result<f64, UsageError> {
+        let v = self.num(key, default)?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err(UsageError(format!("--{key} must be > 0")));
+        }
+        Ok(v)
+    }
+
     /// An integer option with a default.
     pub fn int(&self, key: &str, default: u64) -> Result<u64, UsageError> {
         match self.get(key) {

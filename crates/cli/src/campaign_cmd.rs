@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use elastisim_campaign::{
     aggregate_by_scheduler, campaign_specs, CampaignEvent, CampaignResult, Executor, Observability,
-    RecorderConfig, RunOutcome, RunRecord, RunSpec, SeedRange,
+    RunOutcome, RunRecord, RunSpec, SeedRange,
 };
 use elastisim_telemetry::{prom, MetricsSnapshot};
 
@@ -24,10 +24,7 @@ pub(crate) fn observability_from_args(
     collect_metrics: bool,
 ) -> Result<Observability, CliError> {
     let logger = crate::commands::logger_from_args(args)?;
-    let recorder = args.get("flight-recorder").map(|dir| RecorderConfig {
-        dir: PathBuf::from(dir),
-        ..RecorderConfig::default()
-    });
+    let recorder = args.get("flight-recorder").map(PathBuf::from);
     Ok(Observability {
         logger,
         collect_metrics,

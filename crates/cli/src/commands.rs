@@ -312,7 +312,7 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         .flag("check-invariants")?
         .then(|| InvariantChecker::new(&jobs, platform.num_nodes()));
 
-    let mut cfg = SimConfig::default().with_interval(args.num("interval", 60.0)?);
+    let mut cfg = SimConfig::default().with_interval(args.positive("interval", 60.0)?);
     if let Some(rc) = args.get("reconfig-cost") {
         cfg = cfg.with_reconfig_cost(parse_reconfig_cost(rc)?);
     }
@@ -356,13 +356,10 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
             )
             .into());
         }
-        let timeout = args.num(
+        let timeout = args.positive(
             "scheduler-timeout",
             ExternalProcess::DEFAULT_TIMEOUT.as_secs_f64(),
         )?;
-        if !timeout.is_finite() || timeout <= 0.0 {
-            return Err(UsageError("--scheduler-timeout must be > 0".into()).into());
-        }
         let process =
             ExternalProcess::spawn_command_line(cmd, std::time::Duration::from_secs_f64(timeout))
                 .map_err(|e| CliError::Data(format!("spawning external scheduler: {e}")))?;
@@ -386,13 +383,26 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
     // The flight recorder tails the event stream into a bounded ring so a
     // failing run can be dumped post-mortem; the handle shares its state
     // with the observer, so the ring survives `try_run` consuming `sim`.
-    let recorder_dir = args.get("flight-recorder").map(PathBuf::from);
-    let recorder = recorder_dir
-        .as_ref()
-        .map(|_| FlightRecorder::new(elastisim::recorder::DEFAULT_RING_CAPACITY));
-    if let Some(rec) = &recorder {
+    let recorder = args
+        .get("flight-recorder")
+        .map(|dir| (FlightRecorder::new(), PathBuf::from(dir)));
+    if let Some((rec, _)) = &recorder {
         sim.add_observer(rec.observer());
     }
+    // Writes `DIR/postmortem-<reason>.json` when `--flight-recorder DIR`
+    // armed a recorder.
+    let dump_postmortem = |reason: &str, message: &str| {
+        if let Some((rec, dir)) = &recorder {
+            rec.write_postmortem(
+                &dir.join(format!("postmortem-{reason}.json")),
+                reason,
+                message,
+                &[("scheduler", Value::Str(sched_label.clone()))],
+                &telemetry.snapshot(),
+                &logger,
+            );
+        }
+    };
 
     sim.set_telemetry(telemetry.clone());
     if let Some(path) = args.get("trace-events") {
@@ -422,25 +432,22 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         Ok(report) => report,
         Err(e) => {
             logger.error("run_failed", &[field("error", e.to_string())]);
-            dump_run_postmortem(
-                &recorder,
-                &recorder_dir,
-                "sim_error",
-                &e.to_string(),
-                &sched_label,
-                &telemetry,
-                &logger,
-            );
+            dump_postmortem("sim_error", &e.to_string());
             return Err(CliError::Data(e.to_string()));
         }
     };
-    logger.info(
-        "run_finished",
-        &[
-            field("makespan", report.summary().makespan),
-            field("events", report.events),
-        ],
-    );
+    // The digest correlates this run with sweep and replay records; it
+    // costs a report serialization, so only a live log pays for it.
+    if logger.is_enabled() {
+        logger.info(
+            "run_finished",
+            &[
+                field("makespan", report.summary().makespan),
+                field("events", report.events),
+                field("report_digest", report.digest()),
+            ],
+        );
+    }
     let mut summary = render_summary(&report, &sched_label, effective_seed);
     if chrome_trace.is_some() || metrics_out.is_some() {
         let snapshot = telemetry.snapshot();
@@ -466,15 +473,7 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join("; ");
-            dump_run_postmortem(
-                &recorder,
-                &recorder_dir,
-                "invariant_violation",
-                &joined,
-                &sched_label,
-                &telemetry,
-                &logger,
-            );
+            dump_postmortem("invariant_violation", &joined);
         }
     }
 
@@ -491,40 +490,6 @@ pub fn cmd_run(args: &Args) -> Result<(Report, String), CliError> {
         write("summary.txt", summary.clone())?;
     }
     Ok((report, summary))
-}
-
-/// Writes the flight-recorder post-mortem for a failed (or
-/// invariant-violating) `elastisim run`, when `--flight-recorder DIR`
-/// armed one. Best-effort: dump failures are logged and swallowed so
-/// diagnostics never mask the underlying error.
-#[allow(clippy::too_many_arguments)]
-fn dump_run_postmortem(
-    recorder: &Option<FlightRecorder>,
-    dir: &Option<PathBuf>,
-    reason: &str,
-    message: &str,
-    scheduler: &str,
-    telemetry: &Telemetry,
-    logger: &Logger,
-) {
-    let (Some(rec), Some(dir)) = (recorder, dir) else {
-        return;
-    };
-    let json = rec.postmortem_json(
-        reason,
-        message,
-        &[("scheduler", Value::Str(scheduler.to_owned()))],
-        &telemetry.snapshot(),
-    );
-    let path = dir.join(format!("postmortem-{reason}.json"));
-    let written = fs::create_dir_all(dir).and_then(|()| fs::write(&path, json.as_bytes()));
-    match written {
-        Ok(()) => logger.error(
-            "postmortem_written",
-            &[field("path", path.display().to_string())],
-        ),
-        Err(e) => logger.error("postmortem_write_failed", &[field("error", e.to_string())]),
-    }
 }
 
 /// Renders the human-readable run summary. `seed` is the effective
@@ -740,6 +705,7 @@ mod tests {
         let p = dir.join("platform.json");
         let j = dir.join("jobs.json");
         let trace = dir.join("events.jsonl");
+        let log = dir.join("log.jsonl");
         cmd_platform(
             &Args::parse(["platform", "--nodes", "8", "--out", p.to_str().unwrap()]).unwrap(),
         )
@@ -767,13 +733,24 @@ mod tests {
             "fcfs",
             "--trace-events",
             trace.to_str().unwrap(),
+            "--log-json",
+            log.to_str().unwrap(),
         ])
         .unwrap();
-        cmd_run(&args).unwrap();
+        let (report, _) = cmd_run(&args).unwrap();
         let text = fs::read_to_string(&trace).unwrap();
         assert!(text.contains(r#""event":"job_submitted""#), "{text}");
         assert!(text.contains(r#""event":"job_started""#), "{text}");
         assert!(text.contains(r#""event":"job_completed""#), "{text}");
+        // The run_finished log line carries the report digest, so a single
+        // run can be matched to a sweep or replay record.
+        let log_text = fs::read_to_string(&log).unwrap();
+        let finished = log_text
+            .lines()
+            .find(|l| l.contains(r#""event":"run_finished""#))
+            .unwrap_or_else(|| panic!("no run_finished record: {log_text}"));
+        let digest = format!(r#""report_digest":"{}""#, report.digest());
+        assert!(finished.contains(&digest), "{finished}");
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -909,18 +886,23 @@ mod tests {
         )
         .unwrap();
         fs::write(&j, "[]").unwrap();
-        for bad in ["0", "-3", "soon"] {
-            let args = Args::parse([
-                "run",
-                "--platform",
-                p.to_str().unwrap(),
-                "--jobs",
-                j.to_str().unwrap(),
-                "--progress",
-                bad,
-            ])
-            .unwrap();
-            assert!(matches!(cmd_run(&args), Err(CliError::Usage(_))), "{bad}");
+        for option in ["--progress", "--interval"] {
+            for bad in ["0", "-3", "nan", "soon"] {
+                let args = Args::parse([
+                    "run",
+                    "--platform",
+                    p.to_str().unwrap(),
+                    "--jobs",
+                    j.to_str().unwrap(),
+                    option,
+                    bad,
+                ])
+                .unwrap();
+                assert!(
+                    matches!(cmd_run(&args), Err(CliError::Usage(_))),
+                    "{option} {bad}"
+                );
+            }
         }
         fs::remove_dir_all(dir).unwrap();
     }

@@ -83,7 +83,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
         return Err(UsageError("--procs-per-node must be ≥ 1".into()).into());
     }
     spec.procs_per_node = procs_per_node as u32;
-    spec.config = spec.config.with_interval(args.num("interval", 60.0)?);
+    spec.config = spec.config.with_interval(args.positive("interval", 60.0)?);
     let workers = parse_workers(args)?;
 
     // One streaming pass over the trace file: parse, classify, convert.
@@ -459,6 +459,9 @@ mod tests {
             &["--workers", "0"][..],
             &["--procs-per-node", "0"][..],
             &["--schedulers", " , "][..],
+            &["--interval", "0"][..],
+            &["--interval", "-5"][..],
+            &["--interval", "nan"][..],
         ] {
             assert!(
                 matches!(replay(extra), Err(CliError::Usage(_))),

@@ -48,19 +48,10 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Where the rendered trace document goes.
-enum TraceSink {
-    /// A caller-supplied stream; the document is written once, at finish.
-    Stream(Box<dyn Write + Send>),
-    /// A file path, rewritten whole on every checkpoint and at finish —
-    /// the only sink shape that supports live mid-run checkpoints,
-    /// because the trace-event format is one self-contained document.
-    Path(std::path::PathBuf),
-}
-
 /// Writes the simulated timeline as Chrome trace-event JSON.
 pub struct ChromeTraceWriter {
-    sink: TraceSink,
+    /// The document is written once, at finish (or drop).
+    out: Box<dyn Write + Send>,
     telemetry: Telemetry,
     /// Emitted metadata + closed events, in deterministic order.
     events: Vec<Value>,
@@ -72,14 +63,6 @@ pub struct ChromeTraceWriter {
     named_nodes: std::collections::BTreeSet<u32>,
     /// Currently allocated node count (drives the counter track).
     allocated: i64,
-    /// Rewrite the document to a path sink every this many observed
-    /// events; 0 disables checkpointing.
-    checkpoint_every: usize,
-    /// Events observed since the last checkpoint.
-    since_checkpoint: usize,
-    /// A checkpoint write failed: stop re-attempting checkpoints. The
-    /// final write at finish still runs (and decides the reported error).
-    checkpoint_failed: bool,
     finished: bool,
 }
 
@@ -87,34 +70,14 @@ impl ChromeTraceWriter {
     /// Wraps any writer. `telemetry` supplies the flow-engine timeline at
     /// finish; pass a disabled handle to skip the simulator track.
     pub fn new(out: impl Write + Send + 'static, telemetry: Telemetry) -> Self {
-        ChromeTraceWriter::with_sink(TraceSink::Stream(Box::new(out)), telemetry)
-    }
-
-    /// Creates a trace that will be written to `path` (truncating) at
-    /// finish — and, if [`with_checkpoint_every`](Self::with_checkpoint_every)
-    /// is set, periodically during the run.
-    pub fn create(path: &std::path::Path, telemetry: Telemetry) -> std::io::Result<Self> {
-        // Create eagerly so path errors surface at attach time, not at the
-        // end of a long run.
-        std::fs::File::create(path)?;
-        Ok(ChromeTraceWriter::with_sink(
-            TraceSink::Path(path.to_path_buf()),
-            telemetry,
-        ))
-    }
-
-    fn with_sink(sink: TraceSink, telemetry: Telemetry) -> Self {
         let mut w = ChromeTraceWriter {
-            sink,
+            out: Box::new(out),
             telemetry,
             events: Vec::new(),
             open: HashMap::new(),
             open_down: HashMap::new(),
             named_nodes: std::collections::BTreeSet::new(),
             allocated: 0,
-            checkpoint_every: 0,
-            since_checkpoint: 0,
-            checkpoint_failed: false,
             finished: false,
         };
         w.push_process_meta(PID_CLUSTER, "cluster");
@@ -126,15 +89,15 @@ impl ChromeTraceWriter {
         w
     }
 
-    /// Enables periodic checkpoints: every `events` observed events the
-    /// whole current document is rewritten to the path, so long-running
-    /// campaigns can be inspected live in Perfetto. Only effective for
-    /// path-backed writers ([`create`](Self::create)); stream writers
-    /// cannot be rewritten in place and ignore the setting. The final
-    /// document at finish is byte-identical either way.
-    pub fn with_checkpoint_every(mut self, events: usize) -> Self {
-        self.checkpoint_every = events;
-        self
+    /// Creates (truncating) a buffered trace file at `path`, written at
+    /// finish. The file is created here so path errors surface at attach
+    /// time, not at the end of a long run.
+    pub fn create(path: &std::path::Path, telemetry: Telemetry) -> std::io::Result<Self> {
+        let file = std::fs::File::create(path)?;
+        Ok(ChromeTraceWriter::new(
+            std::io::BufWriter::new(file),
+            telemetry,
+        ))
     }
 
     fn push_process_meta(&mut self, pid: f64, name: &str) {
@@ -235,41 +198,6 @@ impl ChromeTraceWriter {
         nodes.sort_unstable();
         nodes
     }
-
-    /// Rewrites the current document to a path sink. Open slices are left
-    /// out (they close at finish); the checkpoint is still a valid,
-    /// Perfetto-loadable document of everything closed so far.
-    fn checkpoint(&mut self) {
-        let TraceSink::Path(path) = &self.sink else {
-            return;
-        };
-        let json = render_doc(self.events.clone());
-        let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(path)?;
-            writeln!(file, "{json}")?;
-            file.flush()
-        };
-        if let Err(e) = write() {
-            // Stop hammering a failing disk; the final write at finish
-            // still runs and reports the authoritative error.
-            self.checkpoint_failed = true;
-            eprintln!("chrome trace checkpoint failed (disabled): {e}");
-        }
-    }
-}
-
-/// Renders the trace-event document around `events` — shared between
-/// checkpoints and the final write so both produce the same shape.
-fn render_doc(events: Vec<Value>) -> String {
-    let doc = map(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", Value::Str("ms".into())),
-        (
-            "otherData",
-            map(vec![("generator", Value::Str("elastisim".into()))]),
-        ),
-    ]);
-    serde_json::to_string_pretty(&doc).expect("trace serialization cannot fail")
 }
 
 impl Observer for ChromeTraceWriter {
@@ -369,13 +297,6 @@ impl Observer for ChromeTraceWriter {
             | SimEvent::DecisionRejected { .. }
             | SimEvent::Warning { .. } => {}
         }
-        if self.checkpoint_every > 0 && !self.checkpoint_failed {
-            self.since_checkpoint += 1;
-            if self.since_checkpoint >= self.checkpoint_every {
-                self.since_checkpoint = 0;
-                self.checkpoint();
-            }
-        }
     }
 
     fn finish(&mut self, horizon: f64) -> Result<(), String> {
@@ -408,22 +329,19 @@ impl Observer for ChromeTraceWriter {
                 map(vec![("detail", Value::Str(ev.detail))]),
             );
         }
-        let json = render_doc(std::mem::take(&mut self.events));
-        match &mut self.sink {
-            TraceSink::Stream(out) => {
-                writeln!(out, "{json}").map_err(|e| format!("chrome trace write failed: {e}"))?;
-                out.flush()
-                    .map_err(|e| format!("chrome trace flush failed: {e}"))
-            }
-            TraceSink::Path(path) => {
-                let write = |path: &std::path::Path| -> std::io::Result<()> {
-                    let mut file = std::fs::File::create(path)?;
-                    writeln!(file, "{json}")?;
-                    file.flush()
-                };
-                write(path).map_err(|e| format!("chrome trace write failed: {e}"))
-            }
-        }
+        let doc = map(vec![
+            ("traceEvents", Value::Seq(std::mem::take(&mut self.events))),
+            ("displayTimeUnit", Value::Str("ms".into())),
+            (
+                "otherData",
+                map(vec![("generator", Value::Str("elastisim".into()))]),
+            ),
+        ]);
+        let json = serde_json::to_string_pretty(&doc).expect("trace serialization cannot fail");
+        writeln!(self.out, "{json}").map_err(|e| format!("chrome trace write failed: {e}"))?;
+        self.out
+            .flush()
+            .map_err(|e| format!("chrome trace flush failed: {e}"))
     }
 }
 

@@ -157,24 +157,20 @@ pub trait Observer: Send {
 /// aborting the simulation mid-run), and the writer flushes both on
 /// `finish` and on drop, so a trace is complete even if the run aborts
 /// between the last event and `finish`. On top of that, the writer
-/// flushes every [`EventTraceWriter::DEFAULT_FLUSH_EVERY`] events
-/// (tunable via [`with_flush_every`](Self::with_flush_every)), so a
-/// long-running campaign's trace can be tailed live instead of only
-/// materializing at the end of the run.
+/// flushes every 256 events, so a long-running campaign's trace can be
+/// tailed live instead of only materializing at the end of the run.
 pub struct EventTraceWriter {
     out: Box<dyn Write + Send>,
     /// First write error, kept until `finish` surfaces it.
     failed: Option<String>,
     finished: bool,
-    /// Flush after this many events (0 disables periodic flushing).
-    flush_every: usize,
     /// Events written since the last flush.
     since_flush: usize,
 }
 
 impl EventTraceWriter {
-    /// Default periodic-flush interval, in events.
-    pub const DEFAULT_FLUSH_EVERY: usize = 256;
+    /// Periodic-flush interval, in events.
+    const FLUSH_EVERY: usize = 256;
 
     /// Wraps any writer (a file, a `Vec<u8>`, a pipe).
     pub fn new(out: impl Write + Send + 'static) -> Self {
@@ -182,7 +178,6 @@ impl EventTraceWriter {
             out: Box::new(out),
             failed: None,
             finished: false,
-            flush_every: Self::DEFAULT_FLUSH_EVERY,
             since_flush: 0,
         }
     }
@@ -191,14 +186,6 @@ impl EventTraceWriter {
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Ok(EventTraceWriter::new(std::io::BufWriter::new(file)))
-    }
-
-    /// Sets the periodic-flush interval: the writer flushes its sink after
-    /// every `events` events. `0` disables periodic flushing (flush on
-    /// finish/drop only, the pre-campaign behaviour).
-    pub fn with_flush_every(mut self, events: usize) -> Self {
-        self.flush_every = events;
-        self
     }
 }
 
@@ -213,7 +200,7 @@ impl Observer for EventTraceWriter {
             return;
         }
         self.since_flush += 1;
-        if self.flush_every > 0 && self.since_flush >= self.flush_every {
+        if self.since_flush >= Self::FLUSH_EVERY {
             self.since_flush = 0;
             if let Err(e) = self.out.flush() {
                 self.failed = Some(format!("event trace flush failed, trace truncated: {e}"));
@@ -712,45 +699,26 @@ mod tests {
     #[test]
     fn event_trace_writer_flushes_periodically_mid_run() {
         let sink = SharedSink::default();
-        let mut writer =
-            EventTraceWriter::new(std::io::BufWriter::new(sink.clone())).with_flush_every(3);
-        for i in 0..2 {
+        // A buffer large enough that it never spills on its own, so every
+        // line that reaches the sink was flushed by the writer.
+        let buffered = std::io::BufWriter::with_capacity(1 << 20, sink.clone());
+        let mut writer = EventTraceWriter::new(buffered);
+        let every = EventTraceWriter::FLUSH_EVERY as u64;
+        for i in 0..every - 1 {
             writer.on_event(&started(i as f64, i, &[0]));
         }
-        // Two events < interval: everything still sits in the BufWriter.
+        // One event short of the interval: everything still sits in the
+        // BufWriter.
         assert!(sink.contents().is_empty());
-        writer.on_event(&started(2.0, 2, &[0]));
-        // Third event crosses the interval: lines become visible live.
-        let text = String::from_utf8(sink.contents()).unwrap();
-        assert_eq!(text.lines().count(), 3, "{text}");
+        writer.on_event(&started((every - 1) as f64, every - 1, &[0]));
+        // The event that reaches the interval makes the lines visible live.
+        let lines = |sink: &SharedSink| String::from_utf8(sink.contents()).unwrap().lines().count();
+        assert_eq!(lines(&sink), every as usize);
         // And the interval re-arms rather than flushing every event after.
-        writer.on_event(&started(3.0, 3, &[0]));
-        assert_eq!(
-            String::from_utf8(sink.contents()).unwrap().lines().count(),
-            3
-        );
-        writer.finish(4.0).unwrap();
-        assert_eq!(
-            String::from_utf8(sink.contents()).unwrap().lines().count(),
-            4
-        );
-    }
-
-    #[test]
-    fn zero_interval_disables_periodic_flush() {
-        let sink = SharedSink::default();
-        let mut writer =
-            EventTraceWriter::new(std::io::BufWriter::new(sink.clone())).with_flush_every(0);
-        for i in 0..600 {
-            writer.on_event(&started(i as f64, i, &[0]));
-        }
-        // More events than the default interval, but nothing forced out
-        // beyond what the BufWriter spills on its own capacity.
-        writer.finish(600.0).unwrap();
-        assert_eq!(
-            String::from_utf8(sink.contents()).unwrap().lines().count(),
-            600
-        );
+        writer.on_event(&started(every as f64, every, &[0]));
+        assert_eq!(lines(&sink), every as usize);
+        writer.finish(every as f64 + 1.0).unwrap();
+        assert_eq!(lines(&sink), every as usize + 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! what the simulation was doing. The flight recorder keeps the last N
 //! events of the observer stream in a fixed-size ring; on failure the
 //! campaign executor (or the CLI) dumps the ring, the run's identity, and
-//! the telemetry snapshot as one structured JSON document, turning an
-//! ephemeral fuzzer or production failure into a diagnosable artifact.
+//! the telemetry snapshot as one structured JSON document
+//! ([`FlightRecorder::write_postmortem`]), turning an ephemeral fuzzer or
+//! production failure into a diagnosable artifact.
 //!
 //! Like [`InvariantChecker`](crate::InvariantChecker), the recorder is a
 //! handle around `Arc<Mutex<…>>`: [`FlightRecorder::observer`] hands the
@@ -22,8 +23,10 @@
 //! [`SimError`]: crate::SimError
 
 use std::collections::VecDeque;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use elastisim_telemetry::log::{field, Logger};
 use elastisim_telemetry::MetricsSnapshot;
 use serde::Value;
 
@@ -32,9 +35,9 @@ use crate::observe::{Observer, SimEvent};
 /// Format tag stamped into every post-mortem document.
 pub const POSTMORTEM_FORMAT: &str = "pm1";
 
-/// Default ring capacity: enough tail to see the scheduling decisions
-/// leading into a failure without post-mortems growing unbounded.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+/// Ring capacity: enough tail to see the scheduling decisions leading
+/// into a failure without post-mortems growing unbounded.
+pub const RING_CAPACITY: usize = 256;
 
 struct RecorderState {
     ring: VecDeque<SimEvent>,
@@ -48,7 +51,6 @@ struct RecorderState {
 #[derive(Clone)]
 pub struct FlightRecorder {
     state: Arc<Mutex<RecorderState>>,
-    capacity: usize,
 }
 
 fn lock(state: &Mutex<RecorderState>) -> MutexGuard<'_, RecorderState> {
@@ -57,22 +59,29 @@ fn lock(state: &Mutex<RecorderState>) -> MutexGuard<'_, RecorderState> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Appends `event` to a ring holding at most [`RING_CAPACITY`] events.
+fn push_bounded(ring: &mut VecDeque<SimEvent>, event: SimEvent) {
+    if ring.len() == RING_CAPACITY {
+        ring.pop_front();
+    }
+    ring.push_back(event);
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
+    /// A recorder keeping the last [`RING_CAPACITY`] events.
+    pub fn new() -> FlightRecorder {
         FlightRecorder {
             state: Arc::new(Mutex::new(RecorderState {
-                ring: VecDeque::with_capacity(capacity),
+                ring: VecDeque::with_capacity(RING_CAPACITY),
                 seen: 0,
             })),
-            capacity,
         }
-    }
-
-    /// The ring capacity this recorder was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// A boxed observer feeding this recorder, for
@@ -89,21 +98,10 @@ impl FlightRecorder {
     /// the handle.
     pub fn observer(&self) -> Box<dyn Observer> {
         Box::new(RecorderObserver {
-            ring: VecDeque::with_capacity(self.capacity),
+            ring: VecDeque::with_capacity(RING_CAPACITY),
             seen: 0,
             recorder: self.clone(),
         })
-    }
-
-    /// Records one event directly into the shared ring (for callers that
-    /// do not go through an [`observer`](Self::observer), e.g. tests).
-    pub fn record(&self, event: &SimEvent) {
-        let mut st = lock(&self.state);
-        if st.ring.len() == self.capacity {
-            st.ring.pop_front();
-        }
-        st.ring.push_back(event.clone());
-        st.seen += 1;
     }
 
     /// Total events observed, including those evicted from the ring.
@@ -149,7 +147,7 @@ impl FlightRecorder {
             map.push(((*k).to_owned(), v.clone()));
         }
         map.push(("events_seen".to_owned(), Value::Num(st.seen as f64)));
-        map.push(("ring_capacity".to_owned(), Value::Num(self.capacity as f64)));
+        map.push(("ring_capacity".to_owned(), Value::Num(RING_CAPACITY as f64)));
         let events: Vec<Value> = st
             .ring
             .iter()
@@ -162,10 +160,44 @@ impl FlightRecorder {
         ));
         serde_json::to_string_pretty(&Value::Map(map)).expect("postmortem serializes")
     }
+
+    /// Writes the [`postmortem_json`](Self::postmortem_json) document to
+    /// `path`, creating its directory, and logs `postmortem_written` (with
+    /// the path) or `postmortem_write_failed` (with the error) on `logger`.
+    /// A failed dump is logged and swallowed, so diagnostics never mask
+    /// the failure they describe. Returns the path when the file was
+    /// written.
+    pub fn write_postmortem(
+        &self,
+        path: &Path,
+        reason: &str,
+        message: &str,
+        context: &[(&str, Value)],
+        metrics: &MetricsSnapshot,
+        logger: &Logger,
+    ) -> Option<PathBuf> {
+        let json = self.postmortem_json(reason, message, context, metrics);
+        let dir = path.parent().unwrap_or(Path::new(""));
+        let written =
+            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, json.as_bytes()));
+        match written {
+            Ok(()) => {
+                logger.error(
+                    "postmortem_written",
+                    &[field("path", path.display().to_string())],
+                );
+                Some(path.to_path_buf())
+            }
+            Err(e) => {
+                logger.error("postmortem_write_failed", &[field("error", e.to_string())]);
+                None
+            }
+        }
+    }
 }
 
 struct RecorderObserver {
-    /// Locally owned tail: always holds the last `capacity` events this
+    /// Locally owned tail: always holds the last [`RING_CAPACITY`] events this
     /// observer saw, so it can replace the shared ring wholesale on drop.
     ring: VecDeque<SimEvent>,
     seen: u64,
@@ -174,10 +206,7 @@ struct RecorderObserver {
 
 impl Observer for RecorderObserver {
     fn on_event(&mut self, event: &SimEvent) {
-        if self.ring.len() == self.recorder.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event.clone());
+        push_bounded(&mut self.ring, event.clone());
         self.seen += 1;
     }
 }
@@ -190,10 +219,7 @@ impl Drop for RecorderObserver {
         let mut st = lock(&self.recorder.state);
         st.seen += self.seen;
         for event in self.ring.drain(..) {
-            if st.ring.len() == self.recorder.capacity {
-                st.ring.pop_front();
-            }
-            st.ring.push_back(event);
+            push_bounded(&mut st.ring, event);
         }
     }
 }
@@ -202,7 +228,7 @@ impl Drop for RecorderObserver {
 mod tests {
     use super::*;
 
-    fn warning(time: f64, i: usize) -> SimEvent {
+    fn invoked(time: f64, i: usize) -> SimEvent {
         SimEvent::SchedulerInvoked {
             time,
             reason: format!("r{i}"),
@@ -211,46 +237,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_keeps_only_the_tail() {
-        let rec = FlightRecorder::new(3);
+    /// Feeds `n` events through one observer of `rec` and publishes them.
+    fn record(rec: &FlightRecorder, n: usize) {
         let mut obs = rec.observer();
-        for i in 0..5 {
-            obs.on_event(&warning(i as f64, i));
+        for i in 0..n {
+            obs.on_event(&invoked(i as f64, i));
         }
         // The observer publishes its buffered tail on drop.
         drop(obs);
-        assert_eq!(rec.events_seen(), 5);
-        let tail = rec.events();
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail[0].time(), 2.0);
-        assert_eq!(tail[2].time(), 4.0);
     }
 
     #[test]
-    fn capacity_is_at_least_one() {
-        let rec = FlightRecorder::new(0);
-        assert_eq!(rec.capacity(), 1);
-        rec.record(&warning(0.0, 0));
-        rec.record(&warning(1.0, 1));
-        assert_eq!(rec.events().len(), 1);
-        assert_eq!(rec.events_seen(), 2);
+    fn ring_keeps_only_the_tail() {
+        let rec = FlightRecorder::new();
+        record(&rec, RING_CAPACITY + 2);
+        assert_eq!(rec.events_seen(), RING_CAPACITY as u64 + 2);
+        let tail = rec.events();
+        assert_eq!(tail.len(), RING_CAPACITY);
+        assert_eq!(tail[0].time(), 2.0);
+        assert_eq!(tail[RING_CAPACITY - 1].time(), (RING_CAPACITY + 1) as f64);
     }
 
     #[test]
     fn clones_share_the_ring() {
-        let rec = FlightRecorder::new(8);
-        let clone = rec.clone();
-        clone.record(&warning(0.0, 0));
+        let rec = FlightRecorder::new();
+        record(&rec.clone(), 1);
         assert_eq!(rec.events_seen(), 1);
     }
 
     #[test]
     fn postmortem_is_structured_json() {
-        let rec = FlightRecorder::new(2);
-        for i in 0..4 {
-            rec.record(&warning(i as f64, i));
-        }
+        let rec = FlightRecorder::new();
+        record(&rec, RING_CAPACITY + 2);
         let t = elastisim_telemetry::Telemetry::enabled();
         t.counter_add("des.events_delivered", 4);
         let json = rec.postmortem_json(
@@ -277,12 +295,16 @@ mod tests {
         assert_eq!(serde::map_take(&mut map, "run_id"), Some(Value::Num(3.0)));
         assert_eq!(
             serde::map_take(&mut map, "events_seen"),
-            Some(Value::Num(4.0))
+            Some(Value::Num((RING_CAPACITY + 2) as f64))
+        );
+        assert_eq!(
+            serde::map_take(&mut map, "ring_capacity"),
+            Some(Value::Num(RING_CAPACITY as f64))
         );
         let Some(Value::Seq(events)) = serde::map_take(&mut map, "events") else {
             panic!("events missing");
         };
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), RING_CAPACITY);
         let Some(Value::Map(metrics)) = serde::map_take(&mut map, "metrics") else {
             panic!("metrics missing");
         };
@@ -291,17 +313,62 @@ mod tests {
 
     #[test]
     fn recorder_survives_a_panicking_holder() {
-        let rec = FlightRecorder::new(4);
+        let rec = FlightRecorder::new();
         let clone = rec.clone();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            clone.record(&warning(0.0, 0));
+            let mut obs = clone.observer();
+            obs.on_event(&invoked(0.0, 0));
             panic!("simulated run panic");
         }));
-        // The ring is intact and usable after the panic.
-        rec.record(&warning(1.0, 1));
+        // Unwinding published the tail, and the ring is still usable.
+        record(&rec, 1);
         assert_eq!(rec.events_seen(), 2);
         assert!(!rec
             .postmortem_json("panicked", "boom", &[], &MetricsSnapshot::default())
             .is_empty());
+    }
+
+    /// A shared log buffer, readable after the logger is done with it.
+    #[derive(Clone, Default)]
+    struct LogBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for LogBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_postmortem_writes_the_dump_or_logs_why_not() {
+        let dir = std::env::temp_dir().join(format!("elastisim-rec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rec = FlightRecorder::new();
+        record(&rec, 3);
+        let log = LogBuf::default();
+        let logger = Logger::to_writer(log.clone(), elastisim_telemetry::log::Level::Debug);
+        let metrics = MetricsSnapshot::default();
+        let path = dir.join("nested").join("pm.json");
+        let written = rec.write_postmortem(&path, "sim_error", "boom", &[], &metrics, &logger);
+        assert_eq!(written.as_deref(), Some(path.as_path()));
+        let dump = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            dump,
+            rec.postmortem_json("sim_error", "boom", &[], &metrics)
+        );
+        // A path under a regular file cannot be created: logged, not raised.
+        let blocked = path.join("pm.json");
+        let written = rec.write_postmortem(&blocked, "sim_error", "boom", &[], &metrics, &logger);
+        assert_eq!(written, None);
+        let text = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
+        assert!(text.contains(r#""event":"postmortem_written""#), "{text}");
+        assert!(
+            text.contains(r#""event":"postmortem_write_failed""#),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

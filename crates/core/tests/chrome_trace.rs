@@ -51,7 +51,9 @@ fn assert_matches_golden(path: &std::path::Path, actual: &str) {
     );
 }
 
-fn scenario_trace() -> String {
+/// Runs the golden scenario with `writer` attached, built around the
+/// timeline-keeping telemetry handle it is given.
+fn run_scenario(writer: impl FnOnce(Telemetry) -> ChromeTraceWriter) {
     let platform = PlatformSpec::homogeneous("golden", 4, NodeSpec::default());
     // job0 holds two nodes for 100 s; job1 is malleable, so the elastic
     // scheduler grows it onto the freed nodes — the trace must show the
@@ -77,12 +79,16 @@ fn scenario_trace() -> String {
         .with_reconfig_cost(ReconfigCost::Fixed(2.0));
 
     let telemetry = Telemetry::with_timeline(true);
-    let sink = SharedSink::default();
     let mut sim = Simulation::new(&platform, jobs, Box::new(ElasticScheduler::new()), cfg).unwrap();
     sim.set_telemetry(telemetry.clone());
-    sim.add_observer(Box::new(ChromeTraceWriter::new(sink.clone(), telemetry)));
+    sim.add_observer(Box::new(writer(telemetry)));
     let report = sim.try_run().unwrap();
     assert_eq!(report.summary().completed, 2);
+}
+
+fn scenario_trace() -> String {
+    let sink = SharedSink::default();
+    run_scenario(|telemetry| ChromeTraceWriter::new(sink.clone(), telemetry));
     let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     text
 }
@@ -99,87 +105,17 @@ fn chrome_trace_is_deterministic() {
     assert_eq!(scenario_trace(), scenario_trace());
 }
 
-/// A path-backed writer with checkpoints enabled must leave a valid,
-/// non-empty document on disk *during* the run, and the file at finish
-/// must be byte-identical to the stream-sink golden rendering.
+/// A file-backed writer leaves exactly the stream-sink rendering on disk.
 #[test]
-fn checkpointed_path_trace_is_tailable_and_ends_byte_identical() {
-    let platform = PlatformSpec::homogeneous("golden", 4, NodeSpec::default());
-    let rigid_app = ApplicationModel::new(vec![Phase::once(
-        "work",
-        vec![Task::compute("c", PerfExpr::constant(100.0 * NODE_FLOPS))],
-    )]);
-    let malleable_app = ApplicationModel::new(vec![Phase::repeated(
-        "solve",
-        6,
-        vec![Task::compute(
-            "c",
-            PerfExpr::parse(&format!("{:e} / num_nodes", 120.0 * NODE_FLOPS)).unwrap(),
-        )],
-    )]);
-    let jobs = vec![
-        JobSpec::rigid(0, 0.0, 2, rigid_app),
-        JobSpec::malleable(1, 0.0, 1, 4, malleable_app),
-    ];
-    let cfg = SimConfig::default()
-        .with_interval(30.0)
-        .with_reconfig_cost(ReconfigCost::Fixed(2.0));
-
+fn created_path_trace_equals_streamed_trace() {
     let path = std::env::temp_dir().join(format!(
-        "elastisim-chrome-checkpoint-{}.json",
+        "elastisim-chrome-create-{}.json",
         std::process::id()
     ));
-    let telemetry = Telemetry::with_timeline(true);
-    let writer = ChromeTraceWriter::create(&path, telemetry.clone())
-        .unwrap()
-        .with_checkpoint_every(1);
-    let mut sim = Simulation::new(&platform, jobs, Box::new(ElasticScheduler::new()), cfg).unwrap();
-    sim.set_telemetry(telemetry);
-    // Observe through the writer while also proving a checkpoint exists
-    // mid-run: the first event already rewrites the document.
-    sim.add_observer(Box::new(writer));
-    let report = sim.try_run().unwrap();
-    assert_eq!(report.summary().completed, 2);
-    let final_text = std::fs::read_to_string(&path).unwrap();
+    run_scenario(|telemetry| ChromeTraceWriter::create(&path, telemetry).unwrap());
+    let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(final_text, scenario_trace());
-}
-
-/// Mid-run checkpoints are themselves complete JSON documents.
-#[test]
-fn checkpoint_documents_are_valid_mid_run() {
-    use elastisim::Observer;
-    use elastisim::SimEvent;
-    use elastisim_platform::NodeId;
-    use elastisim_workload::JobId;
-
-    let path = std::env::temp_dir().join(format!(
-        "elastisim-chrome-midrun-{}.json",
-        std::process::id()
-    ));
-    let mut writer = ChromeTraceWriter::create(&path, Telemetry::disabled())
-        .unwrap()
-        .with_checkpoint_every(1);
-    writer.on_event(&SimEvent::JobStarted {
-        time: 1.0,
-        job: JobId(0),
-        nodes: vec![NodeId(0), NodeId(1)],
-    });
-    // Before finish: the checkpoint on disk parses and carries the
-    // metadata plus the counter sample emitted so far.
-    let mid = std::fs::read_to_string(&path).unwrap();
-    let doc: serde::Value = serde_json::from_str(&mid).unwrap();
-    let serde::Value::Map(entries) = &doc else {
-        panic!("checkpoint is not an object: {mid}");
-    };
-    assert!(entries.iter().any(|(k, _)| k == "traceEvents"), "{mid}");
-    assert!(mid.contains("allocated_nodes"), "{mid}");
-    writer.finish(2.0).unwrap();
-    let done = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    // The finished document grew past the checkpoint (job slice closed).
-    assert!(done.len() > mid.len());
-    assert!(done.contains("job0"), "{done}");
+    assert_eq!(text, scenario_trace());
 }
 
 #[test]

@@ -825,26 +825,6 @@ impl FlowNetwork {
         self.last_update
     }
 
-    /// Sum of `rate × weight` over live activities for one resource — the
-    /// instantaneous load, used by utilization accounting. O(users of the
-    /// resource) via the membership lists.
-    pub fn resource_load(&self, id: ResourceId) -> f64 {
-        debug_assert!(!self.rates_stale, "resource_load with stale rates");
-        let idx = id.0 as usize;
-        self.res_users[idx]
-            .iter()
-            .map(|&slot| {
-                let si = slot as usize;
-                let (start, len) = self.usage_range[si];
-                self.arena[start as usize..(start + len) as usize]
-                    .iter()
-                    .filter(|&&(r, _)| r == idx)
-                    .map(|&(_, w)| w * self.rate[si])
-                    .sum::<f64>()
-            })
-            .sum()
-    }
-
     /// Number of physical completion-heap entries, including stale ones
     /// (bounded-growth tests).
     #[cfg(test)]
@@ -972,20 +952,6 @@ mod tests {
         let _d = net.start(ActivitySpec::new(5.0, []).with_bound(1.0));
         net.recompute();
         assert_eq!(net.next_completion(), Some(t(5.0)));
-    }
-
-    #[test]
-    fn resource_load_accounts_current_rates() {
-        let mut net = FlowNetwork::new();
-        let cpu = net.add_resource(10.0);
-        net.start(ActivitySpec::new(100.0, [cpu]));
-        net.start(ActivitySpec::new(100.0, [cpu]).with_bound(2.0));
-        net.recompute();
-        let load = net.resource_load(cpu);
-        assert!(
-            (load - 10.0).abs() < 1e-9,
-            "2 (bounded) + 8 (rest) = 10, got {load}"
-        );
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl<E> EventQueue<E> {
         self.compactions
     }
 
-    /// The time of the next live entry, if any.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.skip_cancelled();
-        self.heap.peek().map(|e| key_time(e.key))
-    }
-
     /// Pops the earliest live entry.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.skip_cancelled();
@@ -282,16 +276,6 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(!q.cancel(EntryId::test_raw(42)));
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(t(9.0), ());
-        let id = q.push(t(4.0), ());
-        assert_eq!(q.peek_time(), Some(t(4.0)));
-        q.cancel(id);
-        assert_eq!(q.peek_time(), Some(t(9.0)));
     }
 
     #[test]

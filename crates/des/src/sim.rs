@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 
 use elastisim_telemetry::{LogHistogram, Telemetry};
 
-use crate::flow::{ActivityId, ActivitySpec, FlowNetwork, Progress, ResourceId, SolveKind};
+use crate::flow::{ActivityId, ActivitySpec, FlowNetwork, ResourceId, SolveKind};
 use crate::queue::{EntryId, EventQueue};
 use crate::time::Time;
 
@@ -196,12 +196,6 @@ impl<E> Simulator<E> {
         TimerId(self.queue.push(t, Internal::User(payload)))
     }
 
-    /// Schedules `payload` after a delay of `dt` seconds.
-    pub fn schedule_in(&mut self, dt: f64, payload: E) -> TimerId {
-        assert!(dt >= 0.0, "negative delay");
-        self.schedule_at(self.now + dt, payload)
-    }
-
     /// Cancels a timer; `true` if it had not fired yet.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.queue.cancel(id.0)
@@ -219,13 +213,6 @@ impl<E> Simulator<E> {
     /// Current capacity of a resource.
     pub fn capacity(&self, id: ResourceId) -> f64 {
         self.flow.capacity(id)
-    }
-
-    /// Changes a resource's capacity, rescaling ongoing activities.
-    pub fn set_capacity(&mut self, id: ResourceId, capacity: f64) {
-        self.flow.advance_to(self.now);
-        self.flow.set_capacity(id, capacity);
-        self.refresh_flow();
     }
 
     /// Starts an activity whose completion delivers `payload`.
@@ -250,19 +237,6 @@ impl<E> Simulator<E> {
         Some((remaining, payload))
     }
 
-    /// Progress of an ongoing activity (integrated to "now").
-    pub fn activity_progress(&mut self, id: ActivityId) -> Option<Progress> {
-        self.flow.advance_to(self.now);
-        self.flow.progress(id)
-    }
-
-    /// Instantaneous load on a resource (Σ rate×weight of its users).
-    pub fn resource_load(&mut self, id: ResourceId) -> f64 {
-        self.flow.advance_to(self.now);
-        self.flow.recompute();
-        self.flow.resource_load(id)
-    }
-
     /// Activities stuck at rate zero (deadlock diagnostics).
     pub fn stalled_activities(&self) -> Vec<ActivityId> {
         self.flow.stalled()
@@ -271,14 +245,6 @@ impl<E> Simulator<E> {
     // ------------------------------------------------------------------
     // Driving
     // ------------------------------------------------------------------
-
-    /// Time of the next event that would be delivered, if any.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        if !self.ready.is_empty() {
-            return Some(self.now);
-        }
-        self.queue.peek_time()
-    }
 
     /// Advances the simulation and returns the next `(time, payload)` pair,
     /// or `None` when nothing remains to happen. Activities stalled at rate
@@ -314,14 +280,6 @@ impl<E> Simulator<E> {
                     // spurious) pop the next event.
                 }
             }
-        }
-    }
-
-    /// Runs `step` until exhaustion, invoking `handler` for each event. The
-    /// handler receives the simulator so it can schedule further work.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Self, Time, E)) {
-        while let Some((t, e)) = self.step() {
-            handler(self, t, e);
         }
     }
 
@@ -460,18 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_drop_delays_completion() {
-        let mut sim = Simulator::new();
-        let cpu = sim.add_resource(10.0);
-        sim.start_activity(ActivitySpec::new(100.0, [cpu]), Ev::Done(1));
-        sim.schedule_at(t(5.0), Ev::Timer(0));
-        sim.step();
-        sim.set_capacity(cpu, 1.0);
-        // 50 left at rate 1 → completes at t=55.
-        assert_eq!(sim.step(), Some((t(55.0), Ev::Done(1))));
-    }
-
-    #[test]
     fn stalled_activity_ends_simulation_with_diagnostic() {
         let mut sim = Simulator::new();
         let cpu = sim.add_resource(0.0);
@@ -491,50 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_is_integrated_to_now() {
-        let mut sim = Simulator::new();
-        let cpu = sim.add_resource(10.0);
-        let a = sim.start_activity(ActivitySpec::new(100.0, [cpu]), Ev::Done(1));
-        sim.schedule_at(t(2.5), Ev::Timer(0));
-        sim.step();
-        let p = sim.activity_progress(a).unwrap();
-        assert!((p.remaining - 75.0).abs() < 1e-9);
-        assert_eq!(p.total, 100.0);
-        assert!((p.rate - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cancelled_timer_does_not_fire() {
         let mut sim: Simulator<Ev> = Simulator::new();
         let id = sim.schedule_at(t(1.0), Ev::Timer(1));
         sim.schedule_at(t(2.0), Ev::Timer(2));
         assert!(sim.cancel_timer(id));
         assert_eq!(sim.step(), Some((t(2.0), Ev::Timer(2))));
-    }
-
-    #[test]
-    fn run_drives_to_exhaustion() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule_at(t(1.0), 1);
-        let mut seen = Vec::new();
-        sim.run(|sim, _t, e| {
-            seen.push(e);
-            if e < 3 {
-                sim.schedule_in(1.0, e + 1);
-            }
-        });
-        assert_eq!(seen, vec![1, 2, 3]);
-        assert_eq!(sim.now(), t(3.0));
-    }
-
-    #[test]
-    fn resource_load_visible_mid_run() {
-        let mut sim = Simulator::new();
-        let cpu = sim.add_resource(10.0);
-        sim.start_activity(ActivitySpec::new(100.0, [cpu]), Ev::Done(1));
-        sim.schedule_at(t(1.0), Ev::Timer(0));
-        sim.step();
-        assert!((sim.resource_load(cpu) - 10.0).abs() < 1e-9);
     }
 
     #[test]

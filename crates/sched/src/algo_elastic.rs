@@ -6,29 +6,10 @@ use crate::api::{Decision, Invocation, Scheduler, SystemView};
 use crate::node_selection::NodeSet;
 use elastisim_workload::JobClass;
 
-/// Tuning knobs for [`ElasticScheduler`].
-#[derive(Clone, Copy, Debug)]
-pub struct ElasticConfig {
-    /// Expand running malleable jobs into otherwise-idle nodes.
-    pub expand_to_fill: bool,
-    /// Shrink running malleable jobs toward their minimum to make room for
-    /// queued jobs.
-    pub shrink_to_start: bool,
-    /// Minimum relative growth (added / current nodes) for an expansion to
-    /// be worth its reconfiguration cost; e.g. `0.25` suppresses +1-node
-    /// expansions of a 16-node job. `0.0` expands on any gain.
-    pub min_expand_gain: f64,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            expand_to_fill: true,
-            shrink_to_start: true,
-            min_expand_gain: 0.25,
-        }
-    }
-}
+/// Minimum relative growth (added / current nodes) for an expansion to be
+/// worth its reconfiguration cost: `0.25` suppresses +1-node expansions of
+/// a 16-node job.
+const MIN_EXPAND_GAIN: f64 = 0.25;
 
 /// The malleable-aware policy the elasticity experiments showcase.
 ///
@@ -43,37 +24,26 @@ impl Default for ElasticConfig {
 /// 4. **Expand-to-fill** — hand remaining free nodes to running malleable
 ///    jobs (smallest allocation first, up to their maximum), keeping
 ///    utilization flat.
+///
+/// Starts use equal-share sizing: expand-to-fill grows jobs afterwards, so
+/// starting small keeps the queue moving without oscillation.
 #[derive(Debug, Clone)]
 pub struct ElasticScheduler {
-    cfg: ElasticConfig,
     base: EasyBackfilling,
 }
 
 impl Default for ElasticScheduler {
     fn default() -> Self {
-        Self::with_config(ElasticConfig::default())
+        ElasticScheduler {
+            base: EasyBackfilling::with_sizing(SizingPolicy::EqualShare),
+        }
     }
 }
 
 impl ElasticScheduler {
-    /// Creates the scheduler with default knobs.
+    /// Creates the scheduler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates the scheduler with explicit knobs. Starts use equal-share
-    /// sizing: expand-to-fill grows jobs afterwards, so starting small
-    /// keeps the queue moving without oscillation.
-    pub fn with_config(cfg: ElasticConfig) -> Self {
-        Self::with_sizing(cfg, SizingPolicy::EqualShare)
-    }
-
-    /// Creates the scheduler with explicit knobs and start-sizing policy.
-    pub fn with_sizing(cfg: ElasticConfig, sizing: SizingPolicy) -> Self {
-        ElasticScheduler {
-            cfg,
-            base: EasyBackfilling::with_sizing(sizing),
-        }
     }
 }
 
@@ -154,7 +124,7 @@ impl Scheduler for ElasticScheduler {
             .into_iter()
             .filter(|j| !started.contains(&j.id))
             .collect();
-        if self.cfg.shrink_to_start && !queue.is_empty() {
+        if !queue.is_empty() {
             // Free enough for the whole queue's minimum demand (not
             // just the head): draining a burst with one bulk shrink
             // beats one shrink-per-start cycles.
@@ -193,7 +163,7 @@ impl Scheduler for ElasticScheduler {
         // --- 4. Expand-to-fill ------------------------------------------
         // Only when nobody is waiting: an expansion would otherwise steal
         // the nodes the queue head is waiting for.
-        if self.cfg.expand_to_fill && queue.is_empty() {
+        if queue.is_empty() {
             let mut growers: Vec<_> = view
                 .running()
                 .filter(|j| j.class == JobClass::Malleable)
@@ -232,8 +202,7 @@ impl Scheduler for ElasticScheduler {
             }
             for (gi, (job, info)) in growers.iter().enumerate() {
                 let (had, now) = grants[gi];
-                let gain_ok =
-                    had == 0 || (now - had) as f64 / had as f64 >= self.cfg.min_expand_gain;
+                let gain_ok = had == 0 || (now - had) as f64 / had as f64 >= MIN_EXPAND_GAIN;
                 if now > had && gain_ok {
                     let extra = free.take(now - had).expect("budget accounted");
                     let mut nodes = info.nodes.clone();
@@ -425,25 +394,6 @@ mod tests {
         assert!(d
             .iter()
             .any(|d| matches!(d, Decision::Start { job: JobId(1), nodes } if nodes.len() == 2)));
-    }
-
-    #[test]
-    fn knobs_disable_behaviour() {
-        let cfg = ElasticConfig {
-            expand_to_fill: false,
-            shrink_to_start: false,
-            ..ElasticConfig::default()
-        };
-        let v = view(
-            8,
-            &[6, 7],
-            vec![
-                running_malleable(1, &[0, 1, 2, 3, 4, 5], 2, 8),
-                pending_rigid(2, 1.0, 4),
-            ],
-        );
-        let d = ElasticScheduler::with_config(cfg).schedule(&v, Invocation::Periodic);
-        assert!(reconfigs(&d).is_empty());
     }
 
     #[test]

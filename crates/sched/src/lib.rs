@@ -48,7 +48,7 @@ mod registry;
 
 pub use algo_conservative::ConservativeBackfilling;
 pub use algo_easy::{EasyBackfilling, SizingPolicy};
-pub use algo_elastic::{ElasticConfig, ElasticScheduler};
+pub use algo_elastic::ElasticScheduler;
 pub use algo_fcfs::FcfsScheduler;
 pub use algo_firstfit::FirstFit;
 pub use api::{Decision, Invocation, JobRunInfo, JobState, JobView, Scheduler, SystemView};

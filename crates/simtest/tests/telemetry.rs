@@ -36,7 +36,7 @@ fn run_fingerprint(
         sim.set_telemetry(handle.clone());
         sim.add_observer(Box::new(ChromeTraceWriter::new(std::io::sink(), handle)));
     }
-    let rec = recorder.then(|| FlightRecorder::new(64));
+    let rec = recorder.then(FlightRecorder::new);
     if let Some(rec) = &rec {
         sim.add_observer(rec.observer());
     }
